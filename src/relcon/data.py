@@ -74,10 +74,6 @@ class UnlabeledView:
     def __len__(self) -> int:
         return self._inputs.shape[0]
 
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self._inputs.shape[1:]
-
     def read(self, idx=None) -> np.ndarray:
         """Fetch (a subset of) the unlabeled inputs; every call is counted."""
         self.reads += 1
@@ -404,6 +400,10 @@ def load_dataset(path) -> Dataset:
         if len(blob) < off + 2 * n:
             raise FormatError("truncated label block", offset=len(blob))
         labels = np.frombuffer(blob, dtype="<u2", count=n, offset=off).astype(int)
+        bad = np.flatnonzero(labels >= k)
+        if bad.size:
+            raise FormatError(f"class index {labels[bad[0]]} out of range for {k} classes",
+                              offset=off + 2 * int(bad[0]))
     return Dataset(np.ascontiguousarray(inputs), labels, kind, k)
 
 

@@ -152,26 +152,3 @@ def classification_report(probs, labels) -> MetricsReport:
         per_class_auc=per_class_auc,
         flags=flags,
     )
-
-
-def multilabel_auc(scores, label_matrix) -> tuple[list[float | None], float]:
-    """Per-class one-vs-rest AUC over score columns, plus the mean over the
-    non-degenerate classes."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(label_matrix)
-    if scores.shape != labels.shape or scores.ndim != 2:
-        raise DimensionError("scores and label matrix must both be [N, K]")
-    per_class: list[float | None] = []
-    valid: list[float] = []
-    n = scores.shape[0]
-    for c in range(scores.shape[1]):
-        col = labels[:, c].astype(int)
-        if col.sum() == 0 or col.sum() == n:
-            per_class.append(None)
-            continue
-        value = roc_auc(scores[:, c], col)
-        per_class.append(value)
-        valid.append(value)
-    if not valid:
-        raise UndefinedMetricError("AUC undefined for every class")
-    return per_class, float(np.mean(valid))

@@ -204,7 +204,10 @@ def load_params(path) -> Params:
             off += 2
             if len(blob) < off + name_len:
                 raise struct.error
-            name = blob[off:off + name_len].decode("utf-8")
+            try:
+                name = blob[off:off + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("parameter name is not valid UTF-8", offset=off) from None
             off += name_len
             (ndim,) = struct.unpack_from("<B", blob, off)
             off += 1

@@ -67,14 +67,6 @@ class PerturbDraw:
     noise: np.ndarray | None = None
 
 
-def gaussian_noise(x: np.ndarray, cfg: PerturbConfig, rng: np.random.Generator) -> np.ndarray:
-    """x plus elementwise Gaussian noise clipped to +/- cfg.noise.clip."""
-    if not cfg.noise.enabled:
-        raise ContractError("gaussian_noise called with noise disabled")
-    n = rng.normal(0.0, np.sqrt(cfg.noise.variance), size=x.shape)
-    return x + np.clip(n, -cfg.noise.clip, cfg.noise.clip)
-
-
 def _rotate_nearest(img: np.ndarray, angle_deg: float) -> np.ndarray:
     """Rotate channels-first image about its center; zero fill outside."""
     c, h, w = img.shape
@@ -141,16 +133,6 @@ def apply_draw(x: np.ndarray, draw: PerturbDraw) -> np.ndarray:
     if draw.noise is not None:
         out = out + draw.noise
     return np.ascontiguousarray(out)
-
-
-def random_transform(x: np.ndarray, cfg: PerturbConfig, rng: np.random.Generator) -> np.ndarray:
-    """Random geometric transform of one channels-first image."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimensionError(f"random_transform expects a (C, H, W) image, got {x.shape}")
-    if x.shape[1] < 2 or x.shape[2] < 2:
-        raise DimensionError(f"image perturbation needs H, W >= 2, got {x.shape}")
-    return apply_draw(x, draw_perturbation(x.shape, cfg, rng))
 
 
 def perturb_pair(x: np.ndarray, cfg: PerturbConfig, master_key: tuple[int, ...],

@@ -465,15 +465,6 @@ def backward(root: Tensor) -> dict[str, Array]:
     return grads
 
 
-def grads_for(root: Tensor, params: dict[str, Tensor]) -> dict[str, Array]:
-    """Gradients of a scalar root for every named parameter (zeros if unreached)."""
-    backward(root)
-    out = {}
-    for name, p in params.items():
-        out[name] = p.grad if p.grad is not None else np.zeros(p.shape)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 

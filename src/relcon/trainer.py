@@ -11,6 +11,9 @@ One trainer covers nine variants:
 * ``src_pi/src_te/src_mt``  the above consistency variants plus the
   batch-relation consistency loss
 
+``VARIANT_TABLE`` is the one place that decides what a name means: its
+consistency target source and its optional extra feature term.
+
 The student is optimized with Adam (implemented here from its update
 rule); the teacher, where one exists, changes only through the EMA
 update, applied once per optimization step. The unsupervised weight
@@ -36,12 +39,22 @@ from .errors import ConfigError, ContractError, DimensionError
 from .models import ArchSpec, Params
 from .perturb import PerturbConfig, perturb_pair, substream
 
-VARIANTS = ("baseline", "self_training", "pi", "te", "mt", "fc_mt",
-            "src_pi", "src_te", "src_mt")
-
-_CONSISTENCY = frozenset({"pi", "te", "mt", "fc_mt", "src_pi", "src_te", "src_mt"})
-_EMA_TEACHER = frozenset({"mt", "fc_mt", "src_mt"})
-_RELATION = frozenset({"src_pi", "src_te", "src_mt"})
+# variant -> (consistency target source, extra feature term). Targets come
+# from a second student pass ("pi"), the temporal-ensemble store ("te") or
+# the EMA teacher ("ema"); the extra term compares student and target-side
+# features through the relation loss or direct feature consistency.
+VARIANT_TABLE: dict[str, tuple[str | None, str | None]] = {
+    "baseline": (None, None),
+    "self_training": (None, None),
+    "pi": ("pi", None),
+    "te": ("te", None),
+    "mt": ("ema", None),
+    "fc_mt": ("ema", "feature"),
+    "src_pi": ("pi", "relation"),
+    "src_te": ("te", "relation"),
+    "src_mt": ("ema", "relation"),
+}
+VARIANTS = tuple(VARIANT_TABLE)
 
 # substream purpose tags
 _TAG_INIT = 0
@@ -98,12 +111,11 @@ class TrainConfig:
 
     @property
     def plan(self) -> BatchPlan:
-        if self.variant == "baseline":
-            return BatchPlan(self.batch_labeled, 0)
         if self.variant == "self_training":
             # pseudo-labeled samples join the supervised pool: full batch, all labeled
             return BatchPlan(self.batch_labeled + self.batch_unlabeled, 0)
-        return BatchPlan(self.batch_labeled, self.batch_unlabeled)
+        target, _ = VARIANT_TABLE[self.variant]
+        return BatchPlan(self.batch_labeled, self.batch_unlabeled if target else 0)
 
 
 @dataclass
@@ -128,31 +140,61 @@ class CurvePoint:
     val_accuracy: float
 
 
-@dataclass
 class TemporalStore:
-    """Per-sample running average of predictions, indexed by sample id."""
+    """Per-sample running average of predictions, in arrays indexed by sample id.
 
-    ensemble: dict[int, np.ndarray] = field(default_factory=dict)
-    update_counts: dict[int, int] = field(default_factory=dict)
-    pending: dict[int, np.ndarray] = field(default_factory=dict)
+    ``record`` keeps each sample's latest prediction of the epoch;
+    ``apply_epoch_update`` folds them in as ensemble <- rate * ensemble +
+    (1 - rate) * prediction. Targets are startup-bias corrected by
+    1 / (1 - rate**t), t counting the updates a sample has had. The arrays
+    grow to the largest id seen.
+    """
 
-    def target_for(self, sample_id: int, rate: float) -> np.ndarray | None:
-        t = self.update_counts.get(sample_id, 0)
-        if t == 0:
-            return None
-        return self.ensemble[sample_id] / (1.0 - rate ** t)
+    def __init__(self, rate: float, num_classes: int):
+        self.rate = rate
+        self.ensemble = np.zeros((0, num_classes))
+        self.pending = np.zeros((0, num_classes))
+        self.update_counts = np.zeros(0, dtype=int)
+        self.has_pending = np.zeros(0, dtype=bool)
+        # 1 - rate**t indexed by t, from Python float powers: np.power can
+        # differ from them in the last bit
+        self._bias = np.array([0.0])
 
-    def record(self, sample_id: int, prediction: np.ndarray) -> None:
-        self.pending[sample_id] = prediction.copy()
+    def _reserve(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        if rows.shape != (ids.shape[0], self.ensemble.shape[1]):
+            raise ContractError(f"temporal store needs one {self.ensemble.shape[1]}-wide "
+                                f"row per sample id, got {rows.shape} for {ids.shape[0]} ids")
+        extra = int(ids.max(initial=-1)) + 1 - self.update_counts.size
+        if extra > 0:
+            def pad(a):
+                return np.concatenate([a, np.zeros((extra,) + a.shape[1:], a.dtype)])
+            self.ensemble, self.pending = pad(self.ensemble), pad(self.pending)
+            self.update_counts, self.has_pending = pad(self.update_counts), pad(self.has_pending)
 
-    def apply_epoch_update(self, rate: float) -> None:
-        for sid in sorted(self.pending):
-            pred = self.pending[sid]
-            old = self.ensemble.get(sid)
-            self.ensemble[sid] = (1.0 - rate) * pred if old is None \
-                else rate * old + (1.0 - rate) * pred
-            self.update_counts[sid] = self.update_counts.get(sid, 0) + 1
-        self.pending = {}
+    def targets(self, ids: np.ndarray, current: np.ndarray) -> np.ndarray:
+        """Bias-corrected ensemble rows; ``current`` rows where none exists yet."""
+        self._reserve(ids, current)
+        out = current.copy()
+        t = self.update_counts[ids]
+        seen = t > 0
+        out[seen] = self.ensemble[ids[seen]] / self._bias[t[seen], None]
+        return out
+
+    def record(self, ids: np.ndarray, predictions: np.ndarray) -> None:
+        """Hold the epoch's predictions; a repeated id keeps its last row."""
+        self._reserve(ids, predictions)
+        _, last_rev = np.unique(ids[::-1], return_index=True)
+        last = ids.shape[0] - 1 - last_rev
+        self.pending[ids[last]] = predictions[last]
+        self.has_pending[ids[last]] = True
+
+    def apply_epoch_update(self) -> None:
+        rows = self.has_pending
+        self.ensemble[rows] = self.rate * self.ensemble[rows] \
+            + (1.0 - self.rate) * self.pending[rows]
+        self.update_counts[rows] += 1
+        self.has_pending[:] = False
+        self._bias = np.append(self._bias, 1.0 - self.rate ** self._bias.size)
 
 
 @dataclass
@@ -254,24 +296,6 @@ def pseudo_label_select(probs: np.ndarray, threshold: float) -> list[tuple[int, 
     return out
 
 
-def te_target_update(ensemble: np.ndarray, epoch_preds: np.ndarray, rate: float,
-                     t: int) -> tuple[np.ndarray, np.ndarray]:
-    """One temporal-ensembling update on aligned arrays.
-
-    ensemble <- rate * ensemble + (1 - rate) * epoch_preds; the returned
-    targets are startup-bias corrected by 1/(1 - rate**t), where t >= 1
-    counts the updates applied so far (including this one).
-    """
-    ensemble = np.asarray(ensemble, dtype=np.float64)
-    epoch_preds = np.asarray(epoch_preds, dtype=np.float64)
-    if ensemble.shape != epoch_preds.shape:
-        raise ContractError("ensemble store and epoch predictions must align")
-    if t < 1:
-        raise ContractError("update count t must be >= 1")
-    new_ensemble = rate * ensemble + (1.0 - rate) * epoch_preds
-    return new_ensemble, new_ensemble / (1.0 - rate ** t)
-
-
 # ---------------------------------------------------------------------------
 # trainer
 
@@ -279,15 +303,17 @@ def te_target_update(ensemble: np.ndarray, epoch_preds: np.ndarray, rate: float,
 def init_trainer(cfg: TrainConfig, arch: ArchSpec, labeled: Dataset) -> TrainerState:
     if len(labeled) == 0:
         raise ConfigError("labeled split is empty; every variant needs supervision")
+    target, _ = VARIANT_TABLE[cfg.variant]
     student = models.init_params(arch, substream(cfg.seed, _TAG_INIT))
-    teacher = {k: v.copy() for k, v in student.items()} if cfg.variant in _EMA_TEACHER else None
+    teacher = {k: v.copy() for k, v in student.items()} if target == "ema" else None
+    temporal = TemporalStore(cfg.te_ensemble_rate, arch.num_classes) if target == "te" else None
     weights = losses.inverse_frequency_weights(labeled.labels, arch.num_classes)
     return TrainerState(
         config=cfg, arch=arch, student=student, teacher=teacher,
         class_weights=weights, multilabel=labeled.multilabel,
         adam_m={k: np.zeros_like(v) for k, v in student.items()},
         adam_v={k: np.zeros_like(v) for k, v in student.items()},
-        temporal=TemporalStore() if cfg.variant in ("te", "src_te") else None,
+        temporal=temporal,
     )
 
 
@@ -346,7 +372,7 @@ def _train_step(state: TrainerState, batch: Batch, epoch: int, batch_idx: int,
                 probe: Callable[[dict], None] | None = None) -> LossBreakdown:
     """One optimization step; returns the loss breakdown for logging."""
     cfg = state.config
-    variant = cfg.variant
+    target, extra = VARIANT_TABLE[cfg.variant]
     x = batch.inputs
     ids = batch.sample_ids
     n_lab = batch.n_labeled
@@ -370,40 +396,31 @@ def _train_step(state: TrainerState, batch: Batch, epoch: int, batch_idx: int,
     out_t = None
     feat_s_values = feat_t_values = None
 
-    if variant in _CONSISTENCY:
-        teacher_rng = substream(cfg.seed, _TAG_DROPOUT, epoch, batch_idx, 1)
-        if variant in ("te", "src_te"):
-            targets = np.zeros(probs_s.shape)
-            mask = np.zeros(probs_s.shape)
-            for i, sid in enumerate(ids):
-                tgt = state.temporal.target_for(int(sid), cfg.te_ensemble_rate)
-                if tgt is not None:
-                    targets[i] = tgt
-                    mask[i] = 1.0
-            diff = T.mul(T.sub(probs_s, T.constant(targets)), T.constant(mask))
-            consistency = T.scale(T.frobenius_sq(diff), 1.0 / b)
-            if variant == "src_te":
-                out_t = _target_view_output(state, view_t, teacher_rng)
-        else:
+    if target is not None:
+        # temporal-ensemble targets need the target view only for the extra term
+        if target != "te" or extra is not None:
+            teacher_rng = substream(cfg.seed, _TAG_DROPOUT, epoch, batch_idx, 1)
             out_t = _target_view_output(state, view_t, teacher_rng)
-            probs_t = _probs_node(out_t.logits, state.multilabel)
-            consistency = losses.consistency_mse(probs_s, probs_t.data)
+        if state.temporal is not None:
+            targets = state.temporal.targets(ids, probs_s.data)
+        else:
+            targets = _probs_node(out_t.logits, state.multilabel).data
+        consistency = losses.consistency_mse(probs_s, targets)
 
         if out_t is not None and b >= 2:
             feat_s = models.tap_features(out_s, cfg.feature_tap)
             feat_s_values = feat_s.data
             feat_t_values = models.tap_features(out_t, cfg.feature_tap).data
-            if variant in _RELATION and cfg.beta > 0.0:
+            if extra == "relation" and cfg.beta > 0.0:
                 relation = losses.src_loss(feat_s, feat_t_values, eps=cfg.relation_eps)
-            elif variant == "fc_mt" and cfg.beta > 0.0:
+            elif extra == "feature" and cfg.beta > 0.0:
                 relation = losses.feature_consistency_loss(feat_s, feat_t_values)
             else:
                 measured = losses.src_loss(T.constant(feat_s_values), feat_t_values,
                                            eps=cfg.relation_eps).item()
 
         if state.temporal is not None:
-            for i, sid in enumerate(ids):
-                state.temporal.record(int(sid), probs_s.data[i])
+            state.temporal.record(ids, probs_s.data)
 
     total, breakdown = combine_losses(supervised, consistency, relation,
                                       ramp_weight, cfg.beta, measured)
@@ -458,6 +475,8 @@ def train_epoch(state: TrainerState, splits: Splits,
     """Run one epoch (state is advanced in place) and return its curve point."""
     cfg = state.config
     epoch = state.epoch
+    if epoch >= cfg.total_epochs:
+        raise ContractError(f"training already ran all {cfg.total_epochs} epochs")
     ramp_weight = lambda_rampup(epoch, cfg.ramp_epochs)
     lr = learning_rate_for_epoch(cfg, epoch)
     batch_rng = substream(cfg.seed, _TAG_BATCH, epoch)
@@ -467,9 +486,8 @@ def train_epoch(state: TrainerState, splits: Splits,
             _pseudo_label_pass(state, splits.unlabeled)
         pool = _self_training_pool(state, splits)
         batches = epoch_batches(pool, None, cfg.plan, batch_rng)
-    elif cfg.variant == "baseline":
-        batches = epoch_batches(splits.labeled, None, cfg.plan, batch_rng)
     else:
+        # a plan without unlabeled slots never reads the unlabeled split
         batches = epoch_batches(splits.labeled, splits.unlabeled, cfg.plan, batch_rng)
 
     sums = np.zeros(3)
@@ -479,7 +497,7 @@ def train_epoch(state: TrainerState, splits: Splits,
     means = sums / max(1, len(batches))
 
     if state.temporal is not None:
-        state.temporal.apply_epoch_update(cfg.te_ensemble_rate)
+        state.temporal.apply_epoch_update()
 
     probs_val = predict_probs(state.arch, eval_model_params(state),
                               splits.validation.inputs, state.multilabel)

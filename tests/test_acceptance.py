@@ -6,7 +6,6 @@ trains 30 runs of 40 epochs and dominates the runtime.
 """
 
 import hashlib
-import math
 import subprocess
 import sys
 import time
@@ -16,8 +15,7 @@ import pytest
 
 from relcon import data as D
 from relcon import experiments as E
-from relcon import losses, metrics
-from relcon import tensor as T
+from relcon import selftest
 from relcon import trainer as TR
 from relcon.models import ArchSpec
 
@@ -37,51 +35,18 @@ def _digest(params):
 def test_criterion_1_gradient_oracle():
     """Every loss matches central differences at 1e-4 over 100+ random cases."""
     started = time.perf_counter()
-    rng = np.random.default_rng(20240501)
-    worst = 0.0
-    for i in range(100):
-        b = int(rng.integers(2, 7))
-        k = int(rng.integers(2, 7))
-        d = int(rng.integers(2, 9))
-        y = rng.integers(0, k, size=b)
-        y_multi = rng.integers(0, 2, size=(b, k))
-        w = rng.uniform(0.5, 2.0, size=k)
-        p_t = rng.dirichlet(np.ones(k), size=b)
-        a_t = rng.normal(size=(b, d))
-        cases = [
-            (lambda t: losses.weighted_cross_entropy(t, y, w), (b, k)),
-            (lambda t: losses.weighted_cross_entropy(t, y_multi, w), (b, k)),
-            (lambda t: losses.consistency_mse(T.softmax(t), p_t), (b, k)),
-            (lambda t: losses.src_loss(t, a_t), (b, d)),
-            (lambda t: losses.feature_consistency_loss(t, a_t), (b, d)),
-        ]
-        for f, shape in cases:
-            err = T.finite_difference_check(f, rng.normal(size=shape), eps=1e-5)
-            worst = max(worst, err)
-            assert err <= 1e-4, f"instance {i}: relative error {err}"
+    _, ok, detail = selftest.check_loss_gradients(100)
+    assert ok, detail
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"gradient oracle took {elapsed:.0f}s (limit 120s)"
-    _report("criterion 1: loss-gradient oracle",
-            f"max rel err {worst:.2e}, {elapsed:.1f}s")
+    _report("criterion 1: loss-gradient oracle", f"{detail}, {elapsed:.1f}s")
 
 
 def test_criterion_2_relation_algebra():
     """Gram/relation invariants over 1000 random batches."""
     started = time.perf_counter()
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        b = int(rng.integers(2, 12))
-        d = int(rng.integers(1, 24))
-        a = rng.normal(size=(b, d))
-        g = losses.gram_matrix(T.constant(a)).data
-        assert np.abs(g - g.T).max() <= 1e-12
-        r = losses.relation_matrix(T.constant(a)).data
-        assert np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 1e-9
-        for c in (0.5, 3.7, 100.0):
-            assert np.abs(losses.relation_matrix(T.constant(c * a)).data - r).max() <= 1e-9
-        p = rng.permutation(b)
-        rp = losses.relation_matrix(T.constant(a[p])).data
-        assert np.abs(rp - r[np.ix_(p, p)]).max() <= 1e-12
+    _, ok, detail = selftest.check_relation_algebra(1000)
+    assert ok, detail
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"relation algebra took {elapsed:.0f}s (limit 60s)"
     _report("criterion 2: relation-matrix algebra", f"{elapsed:.1f}s")
@@ -89,52 +54,22 @@ def test_criterion_2_relation_algebra():
 
 def test_criterion_3_relation_loss_brute_force():
     """Matrix-form relation loss equals a pairwise double loop, 500 instances."""
-    rng = np.random.default_rng(13)
-    for _ in range(500):
-        b = int(rng.integers(2, 17))
-        d = int(rng.integers(1, 33))
-        a1, a2 = rng.normal(size=(b, d)), rng.normal(size=(b, d))
-        fast = losses.src_loss(T.constant(a1), a2).item()
-
-        def rel(a):
-            g = [[sum(a[i][x] * a[j][x] for x in range(d)) for j in range(b)]
-                 for i in range(b)]
-            rows = []
-            for i in range(b):
-                norm = max(math.sqrt(sum(v * v for v in g[i])), 1e-8)
-                rows.append([v / norm for v in g[i]])
-            return rows
-
-        r1, r2 = rel(a1), rel(a2)
-        slow = sum((r1[i][j] - r2[i][j]) ** 2 for i in range(b) for j in range(b)) / b
-        assert abs(fast - slow) <= 1e-10 * max(abs(slow), 1e-30)
+    _, ok, detail = selftest.check_relation_loss_bruteforce(500)
+    assert ok, detail
     _report("criterion 3: relation loss vs brute force")
 
 
 def test_criterion_4_ema_closed_form():
     """Teacher gap equals alpha^t * initial gap to 1e-12 for 1000 steps."""
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for alpha in (0.9, 0.99):
-        student = {"w": rng.normal(size=(5, 4))}
-        gap = rng.normal(size=(5, 4))
-        teacher = {"w": student["w"] + gap}
-        for t in range(1, 1001):
-            teacher = TR.ema_update(teacher, student, alpha)
-            err = np.abs(teacher["w"] - student["w"] - alpha ** t * gap).max()
-            worst = max(worst, err)
-            assert err <= 1e-12
-    _report("criterion 4: EMA closed form", f"max abs err {worst:.1e}")
+    _, ok, detail = selftest.check_ema_closed_form(1000)
+    assert ok, detail
+    _report("criterion 4: EMA closed form", detail)
 
 
 def test_criterion_5_rampup_endpoints():
     """Warm-up endpoints exact; nondecreasing over 1000 sample points."""
-    assert abs(TR.lambda_rampup(0, 30) - math.exp(-5)) <= 1e-12
-    assert TR.lambda_rampup(30, 30) == 1.0
-    for t in (31, 45, 10_000):
-        assert TR.lambda_rampup(t, 30) == 1.0
-    samples = [TR.lambda_rampup(t, 30) for t in np.linspace(0.0, 30.0, 1000)]
-    assert all(b >= a for a, b in zip(samples, samples[1:]))
+    _, ok, detail = selftest.check_rampup(1000)
+    assert ok, detail
     _report("criterion 5: ramp-up endpoints and monotonicity")
 
 
@@ -245,26 +180,8 @@ def test_criterion_7_desk_scale_ordering():
 
 def test_criterion_8_metrics_oracle():
     """Rank-statistic AUC equals exhaustive pair counting on 200 sets."""
-    rng = np.random.default_rng(99)
-    for i in range(200):
-        n = int(rng.integers(4, 51))
-        if i % 2 == 0:
-            scores = rng.integers(0, 6, size=n).astype(float)  # heavy ties
-        else:
-            scores = rng.normal(size=n)
-        labels = rng.integers(0, 2, size=n)
-        if labels.sum() in (0, n):
-            labels[0] = 1 - labels[0]
-        wins = ties = 0
-        for a in range(n):
-            for bq in range(n):
-                if labels[a] == 1 and labels[bq] == 0:
-                    wins += scores[a] > scores[bq]
-                    ties += scores[a] == scores[bq]
-        p, q = int(labels.sum()), n - int(labels.sum())
-        expected = (wins + 0.5 * ties) / (p * q)
-        assert metrics.roc_auc(scores, labels) == expected
-        assert metrics.roc_auc(scores, labels) + metrics.roc_auc(-scores, labels) == 1.0
+    _, ok, detail = selftest.check_auc_oracle(200)
+    assert ok, detail
     _report("criterion 8: AUC pairwise oracle and complement identity")
 
 

@@ -214,6 +214,17 @@ class TestFileIO:
         with pytest.raises(FormatError, match="offset"):
             D.load_dataset(path)
 
+    def test_class_index_out_of_range(self, tmp_path):
+        ds = D.gen_two_moons(4, 0.1, np.random.default_rng(19))
+        path = tmp_path / "labels.bin"
+        D.save_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        label_block = len(blob) - 2 * len(ds)
+        blob[label_block + 6:label_block + 8] = (9).to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="out of range"):
+            D.load_dataset(path)
+
     def test_csv_import(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1.5,2.5,0\n3.5,4.5,1\n0.5,0.5,1\n1.0,1.0,0\n")

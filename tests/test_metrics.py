@@ -146,37 +146,41 @@ class TestClassificationReport:
 
 
 class TestMultilabelAuc:
+    """Multi-label AUC: classification_report on multi-hot labels."""
+
     def test_all_perfect(self):
         scores = np.array([[0.9, 0.9], [0.8, 0.8], [0.1, 0.2], [0.2, 0.1]])
         labels = np.array([[1, 1], [1, 1], [0, 0], [0, 0]])
-        per_class, mean = M.multilabel_auc(scores, labels)
-        assert per_class == [1.0, 1.0] and mean == 1.0
+        rep = M.classification_report(scores, labels)
+        assert rep.per_class_auc == [1.0, 1.0] and rep.auc == 1.0
 
     def test_mixed_perfect_and_ties(self):
         scores = np.array([[0.9, 0.5], [0.8, 0.5], [0.1, 0.5], [0.2, 0.5]])
         labels = np.array([[1, 1], [1, 0], [0, 1], [0, 0]])
-        per_class, mean = M.multilabel_auc(scores, labels)
-        assert per_class[0] == 1.0 and per_class[1] == 0.5
-        assert mean == 0.75
+        rep = M.classification_report(scores, labels)
+        assert rep.per_class_auc[0] == 1.0 and rep.per_class_auc[1] == 0.5
+        assert rep.auc == 0.75
 
     def test_degenerate_class_excluded(self):
         scores = np.random.default_rng(9).random((10, 3))
         labels = np.zeros((10, 3), dtype=int)
         labels[:5, 0] = 1
         labels[3:, 1] = 1   # class 2 all negative -> excluded
-        per_class, mean = M.multilabel_auc(scores, labels)
-        assert per_class[2] is None
-        assert mean == np.mean([per_class[0], per_class[1]])
+        rep = M.classification_report(scores, labels)
+        assert rep.per_class_auc[2] is None
+        assert rep.auc == np.mean([rep.per_class_auc[0], rep.per_class_auc[1]])
+        assert any("class 2" in f for f in rep.flags)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_many_columns_match_oracle(self, seed):
         rng = np.random.default_rng(300 + seed)
-        scores = rng.integers(0, 4, size=(30, 14)).astype(float)
+        # four score levels in [0, 1] force ties
+        scores = rng.integers(0, 4, size=(30, 14)) / 3.0
         labels = rng.integers(0, 2, size=(30, 14))
         labels[0] = 1
         labels[1] = 0
-        per_class, _ = M.multilabel_auc(scores, labels)
-        for c, value in enumerate(per_class):
+        rep = M.classification_report(scores, labels)
+        for c, value in enumerate(rep.per_class_auc):
             if value is None:
                 continue
             expected = pairwise_auc(scores[:, c], labels[:, c])

@@ -173,3 +173,13 @@ class TestSerialization:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError, match="offset"):
             models.load_params(path)
+
+    def test_non_utf8_name(self, tmp_path):
+        params = models.init_params(MLP, np.random.default_rng(23))
+        path = tmp_path / "params.bin"
+        models.save_params(params, path)
+        blob = bytearray(path.read_bytes())
+        blob[14] = 0xFF   # first byte of the first parameter name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="UTF-8"):
+            models.load_params(path)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from relcon import perturb as P
-from relcon.errors import ContractError, DimensionError
+from relcon.errors import DimensionError
 
 
 def _noisy_cfg(variance=0.01, clip=0.2):
     return P.PerturbConfig(noise=P.GaussianNoiseConfig(True, variance, clip))
+
+
+def _perturbed(x, cfg, rng):
+    return P.apply_draw(x, P.draw_perturbation(x.shape, cfg, rng))
 
 
 class TestGaussianNoise:
@@ -16,14 +20,14 @@ class TestGaussianNoise:
         cfg = _noisy_cfg(variance=4.0, clip=0.2)  # huge sd, clipping dominates
         rng = np.random.default_rng(0)
         x = np.zeros(100_000)
-        out = P.gaussian_noise(x, cfg, rng)
+        out = _perturbed(x, cfg, rng)
         assert np.abs(out).max() <= 0.2
         assert np.isclose(np.abs(out).max(), 0.2)
 
     def test_zero_variance_identity(self):
         cfg = _noisy_cfg(variance=0.0)
         x = np.random.default_rng(1).normal(size=32)
-        out = P.gaussian_noise(x, cfg, np.random.default_rng(2))
+        out = _perturbed(x, cfg, np.random.default_rng(2))
         assert np.array_equal(out, x)
 
     def test_delta_always_within_clip(self):
@@ -31,14 +35,16 @@ class TestGaussianNoise:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 50))
         for _ in range(20):
-            out = P.gaussian_noise(x, cfg, rng)
+            out = _perturbed(x, cfg, rng)
             # one ulp of slack: the bound is on the drawn noise, and the
             # reconstructed delta (x + n) - x carries addition rounding
             assert np.abs(out - x).max() <= 0.2 + 1e-12
 
-    def test_disabled_rejected(self):
-        with pytest.raises(ContractError):
-            P.gaussian_noise(np.zeros(3), P.PerturbConfig(), np.random.default_rng(0))
+    def test_disabled_draws_no_noise(self):
+        x = np.random.default_rng(1).normal(size=3)
+        draw = P.draw_perturbation(x.shape, P.PerturbConfig(), np.random.default_rng(0))
+        assert draw.noise is None
+        assert np.array_equal(P.apply_draw(x, draw), x)
 
 
 class TestTransforms:
@@ -83,12 +89,11 @@ class TestTransforms:
 
     def test_tiny_image_rejected(self):
         with pytest.raises(DimensionError):
-            P.random_transform(np.zeros((1, 1, 4)), P.PerturbConfig(),
-                               np.random.default_rng(0))
+            _perturbed(np.zeros((1, 1, 4)), P.PerturbConfig(), np.random.default_rng(0))
 
     def test_zero_image_stays_zero(self):
         rng = np.random.default_rng(4)
-        out = P.random_transform(np.zeros((1, 6, 6)), P.PerturbConfig(), rng)
+        out = _perturbed(np.zeros((1, 6, 6)), P.PerturbConfig(), rng)
         assert np.array_equal(out, np.zeros((1, 6, 6)))
 
 
@@ -107,7 +112,7 @@ class TestDrawBounds:
         cfg = _noisy_cfg()
         rng = np.random.default_rng(6)
         draws = rng.normal(0, 0.1, size=100_000)
-        out = P.gaussian_noise(np.zeros(100_000), cfg, rng)
+        out = _perturbed(np.zeros(100_000), cfg, rng)
         assert np.abs(out).max() <= 0.2
         assert draws.shape  # rng independence sanity
 

@@ -130,27 +130,85 @@ class TestPseudoLabels:
         assert out == [(0, 0)]
 
 
+def te_epoch(store, ids, predictions):
+    """One epoch of the temporal store: record, update, read the targets."""
+    store.record(ids, predictions)
+    store.apply_epoch_update()
+    return store.targets(ids, np.zeros_like(predictions))
+
+
 class TestTemporalTargets:
     def test_first_update_bias_corrected(self):
         z = np.random.default_rng(2).dirichlet(np.ones(3), size=4)
-        _, targets = TR.te_target_update(np.zeros((4, 3)), z, 0.99, t=1)
+        targets = te_epoch(TR.TemporalStore(0.99, 3), np.arange(4), z)
         assert np.abs(targets - z).max() <= 1e-15
 
     def test_rate_zero_tracks_epoch(self):
-        z = np.random.default_rng(3).dirichlet(np.ones(3), size=4)
-        ens, targets = TR.te_target_update(np.zeros((4, 3)), z, 0.0, t=5)
+        rng = np.random.default_rng(3)
+        store = TR.TemporalStore(0.0, 3)
+        for _ in range(5):
+            z = rng.dirichlet(np.ones(3), size=4)
+            targets = te_epoch(store, np.arange(4), z)
         assert np.array_equal(targets, z)
 
     def test_constant_predictions_fixed_point(self):
         z = np.random.default_rng(4).dirichlet(np.ones(4), size=2)
-        ens = np.zeros_like(z)
-        for t in range(1, 200):
-            ens, targets = TR.te_target_update(ens, z, 0.99, t)
+        store = TR.TemporalStore(0.99, 4)
+        for _ in range(1, 200):
+            targets = te_epoch(store, np.arange(2), z)
             assert np.abs(targets - z).max() <= 1e-9
 
     def test_misaligned_rejected(self):
         with pytest.raises(ContractError):
-            TR.te_target_update(np.zeros((2, 3)), np.zeros((3, 3)), 0.99, 1)
+            TR.TemporalStore(0.99, 3).record(np.arange(2), np.zeros((3, 3)))
+
+    def test_unseen_rows_get_current_prediction(self):
+        z = np.random.default_rng(5).dirichlet(np.ones(3), size=2)
+        store = TR.TemporalStore(0.99, 3)
+        te_epoch(store, np.array([0, 1]), z)
+        current = np.full((2, 3), 0.25)
+        targets = store.targets(np.array([1, 7]), current)
+        assert np.abs(targets[0] - z[1]).max() <= 1e-15
+        assert np.array_equal(targets[1], current[1])
+
+    def test_store_grows_to_larger_ids(self):
+        z = np.random.default_rng(6).dirichlet(np.ones(3), size=2)
+        store = TR.TemporalStore(0.5, 3)
+        te_epoch(store, np.array([0, 1]), z)
+        te_epoch(store, np.array([40, 1]), z)
+        assert store.update_counts[[0, 1, 40]].tolist() == [1, 2, 1]
+        assert store.update_counts.sum() == 4
+
+    def test_matches_per_sample_reference(self):
+        # per-sample dict loop: the latest prediction of an epoch wins, the
+        # update folds it in, targets divide by 1 - rate**t
+        rng = np.random.default_rng(8)
+        rate = 0.9
+        store = TR.TemporalStore(rate, 3)
+        ensemble, counts = {}, {}
+        for _ in range(6):
+            pending = {}
+            for _ in range(4):
+                ids = rng.integers(0, 30, size=9)
+                current = rng.dirichlet(np.ones(3), size=9)
+                expected = current.copy()
+                for i, sid in enumerate(ids):
+                    if counts.get(sid, 0):
+                        expected[i] = ensemble[sid] / (1.0 - rate ** counts[sid])
+                assert np.array_equal(store.targets(ids, current), expected)
+                store.record(ids, current)
+                pending.update(zip(ids, current))
+            for sid, pred in pending.items():
+                ensemble[sid] = rate * ensemble[sid] + (1.0 - rate) * pred \
+                    if sid in ensemble else (1.0 - rate) * pred
+                counts[sid] = counts.get(sid, 0) + 1
+            store.apply_epoch_update()
+
+    def test_repeated_id_keeps_last_row(self):
+        z = np.random.default_rng(7).dirichlet(np.ones(3), size=3)
+        store = TR.TemporalStore(0.0, 3)
+        targets = te_epoch(store, np.array([2, 2, 2]), z)
+        assert np.array_equal(targets, np.stack([z[2]] * 3))
 
 
 class TestConfigValidation:
@@ -176,6 +234,13 @@ class TestConfigValidation:
         assert cfg.learning_rate == 1e-4
         assert cfg.te_ensemble_rate == 0.99
         assert cfg.pseudo_label_threshold == 0.9
+
+    def test_variant_table_covers_registry(self):
+        assert set(TR.VARIANT_TABLE) == set(TR.VARIANTS)
+        sources = {src for src, _ in TR.VARIANT_TABLE.values()}
+        extras = {extra for _, extra in TR.VARIANT_TABLE.values()}
+        assert sources == {None, "pi", "te", "ema"}
+        assert extras == {None, "relation", "feature"}
 
     def test_learning_rate_schedule(self):
         cfg = TR.TrainConfig(total_epochs=60)
@@ -267,6 +332,16 @@ class TestTrainingContracts:
         assert seen
         assert all(c == 0.0 and r == 0.0 for c, r in seen)
 
+    def test_training_stops_at_total_epochs(self):
+        splits = small_splits()
+        cfg = quick_config(variant="mt", total_epochs=2)
+        state = TR.init_trainer(cfg, ARCH, splits.labeled)
+        for _ in range(cfg.total_epochs):
+            TR.train_epoch(state, splits)
+        with pytest.raises(ContractError):
+            TR.train_epoch(state, splits)
+        assert state.epoch == cfg.total_epochs
+
     def test_empty_labeled_split_rejected(self):
         splits = small_splits()
         empty = splits.labeled.subset(np.array([], dtype=int))
@@ -285,9 +360,10 @@ class TestTrainingContracts:
         res = TR.run_variant(quick_config(variant="te", total_epochs=3), ARCH,
                              small_splits())
         assert res.state.temporal is not None
-        assert len(res.state.temporal.ensemble) > 0
-        counts = set(res.state.temporal.update_counts.values())
-        assert max(counts) == 3
+        counts = res.state.temporal.update_counts
+        assert counts.max() == 3
+        # every sample the epochs fed through the store has an ensemble row
+        assert np.all(res.state.temporal.ensemble[counts > 0].sum(axis=1) > 0)
 
     @pytest.mark.parametrize("variant", TR.VARIANTS)
     def test_every_variant_trains(self, variant):
