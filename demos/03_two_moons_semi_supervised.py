@@ -10,7 +10,7 @@ import numpy as np
 
 from relcon import data as D
 from relcon.models import ArchSpec
-from relcon.perturb import GaussianNoiseConfig, PerturbConfig
+from relcon.perturb import PerturbConfig
 from relcon.trainer import TrainConfig, run_variant
 
 dataset = D.gen_two_moons(1000, 0.12, np.random.default_rng(42))
@@ -19,7 +19,7 @@ print(f"labeled {len(splits.labeled)}, unlabeled {len(splits.unlabeled)}, "
       f"val {len(splits.validation)}, test {len(splits.test)}")
 
 arch = ArchSpec(input_shape=(2,), num_classes=2, hidden=(32, 32), dropout_rate=0.2)
-perturb = PerturbConfig(noise=GaussianNoiseConfig(enabled=True, variance=0.01, clip=0.2))
+perturb = PerturbConfig(noise_enabled=True, noise_variance=0.01, noise_clip=0.2)
 
 for variant in ("baseline", "mt", "src_mt"):
     cfg = TrainConfig(variant=variant, total_epochs=30, ramp_epochs=10,

@@ -13,7 +13,7 @@ import numpy as np
 from relcon import data as D
 from relcon import losses
 from relcon.models import ArchSpec
-from relcon.perturb import GaussianNoiseConfig, PerturbConfig
+from relcon.perturb import PerturbConfig
 from relcon.trainer import TrainConfig, run_variant
 
 dataset = D.gen_blob_images(400, 3, 10, 1.0, np.random.default_rng(9), noise_sd=0.2)
@@ -22,7 +22,8 @@ arch = ArchSpec(input_shape=(1, 10, 10), num_classes=3, conv_channels=(5, 6),
                 dropout_rate=0.2)
 cfg = TrainConfig(variant="src_mt", total_epochs=24, ramp_epochs=10,
                   learning_rate=3e-3, seed=1,
-                  perturb=PerturbConfig(noise=GaussianNoiseConfig(True, 0.09, 0.5)))
+                  perturb=PerturbConfig(noise_enabled=True, noise_variance=0.09,
+                                        noise_clip=0.5))
 
 dump_epochs = (0, 8, 16, 23)
 result = run_variant(cfg, arch, splits, relation_dump_epochs=dump_epochs)

@@ -12,14 +12,14 @@ import numpy as np
 
 from relcon import data as D
 from relcon.models import ArchSpec
-from relcon.perturb import GaussianNoiseConfig, PerturbConfig
+from relcon.perturb import PerturbConfig
 from relcon.trainer import TrainConfig, run_variant
 
 dataset = D.gen_blob_images(700, 3, 12, 1.0, np.random.default_rng(7), noise_sd=0.25)
 splits = D.split_labeled(dataset, D.SplitSpec(0.12, seed=11))
 arch = ArchSpec(input_shape=(1, 12, 12), num_classes=3, conv_channels=(6, 8),
                 dropout_rate=0.2)
-perturb = PerturbConfig(noise=GaussianNoiseConfig(enabled=True, variance=0.09, clip=0.5))
+perturb = PerturbConfig(noise_enabled=True, noise_variance=0.09, noise_clip=0.5)
 
 print("weight | converged relation loss | test acc | test auc")
 for weight in (0.0, 0.1, 1.0, 5.0):

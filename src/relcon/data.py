@@ -86,7 +86,7 @@ class UnlabeledView:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    labeled_fraction: float
+    labeled_fraction: float = 0.2
     stratified: bool = True
     seed: int = 0
 

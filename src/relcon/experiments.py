@@ -1,10 +1,12 @@
 """Config-driven experiment harness: grids, reports, and diagnostic dumps.
 
 An experiment config is a UTF-8 key-value file with ``[section]`` headers
-and ``key = value`` lines (``#`` comments). Sections: ``[dataset]``,
-``[split]``, ``[train]``, optional ``[perturb]``, optional ``[sweep]``
-(lists over variant / beta / labeled_fraction / seeds), and optional
-``[output]``. Parsing is strict: unknown keys and malformed values are
+and ``key = value`` lines; ``#`` starts a comment that runs to the end of
+the line. Sections: ``[dataset]``, ``[split]``, ``[train]``, optional
+``[perturb]``, optional ``[sweep]`` (lists over variant / beta /
+labeled_fraction / seeds), and optional ``[output]``. Each section's keys,
+their types and their defaults are the fields of its dataclasses (see
+``_SECTIONS``). Parsing is strict: unknown keys and malformed values are
 rejected with their line number. Missing keys fall back to the library
 defaults (EMA decay 0.99, relation weight 1.0, 12+36 batches, dropout 0.2).
 
@@ -22,6 +24,7 @@ import hashlib
 import itertools
 import json
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +36,7 @@ from .errors import ConfigError, ContractError
 from .losses import write_matrix_csv
 from .metrics import MetricsReport
 from .models import ArchSpec
-from .perturb import GaussianNoiseConfig, PerturbConfig
+from .perturb import PerturbConfig
 from .trainer import CurvePoint, TrainConfig, run_variant
 
 MAX_SWEEP_CELLS = 10_000
@@ -88,7 +91,7 @@ class OutputSection:
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSection = field(default_factory=DatasetSection)
-    split: D.SplitSpec = field(default_factory=lambda: D.SplitSpec(labeled_fraction=0.2))
+    split: D.SplitSpec = field(default_factory=D.SplitSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
     model: ModelSection = field(default_factory=ModelSection)
     sweep: SweepSection = field(default_factory=SweepSection)
@@ -106,61 +109,76 @@ class ExperimentConfig:
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def _parse_scalar(raw: str, kind: str, line: int, key: str):
+def _parse_scalar(raw: str, kind: type, line: int, key: str):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() not in _BOOL:
-                raise ValueError(raw)
+        if kind is bool:
             return _BOOL[raw.lower()]
-        return raw
-    except ValueError:
-        raise ConfigError(f"cannot parse {raw!r} as {kind}", line=line, key=key) from None
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot parse {raw!r} as {kind.__name__}",
+                          line=line, key=key) from None
 
 
-def _parse_list(raw: str, kind: str, line: int, key: str) -> tuple:
+def _parse_list(raw: str, kind: type, line: int, key: str) -> tuple:
     items = [s.strip() for s in raw.split(",") if s.strip()]
     return tuple(_parse_scalar(s, kind, line, key) for s in items)
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "dataset": {"generator": "str", "path": "str", "n": "int", "classes": "int",
-                "size": "int", "noise_sd": "float", "center_jitter": "float",
-                "imbalance_ratio": "float", "seed": "int"},
-    "split": {"labeled_fraction": "float", "stratified": "bool", "seed": "int"},
-    "train": {"variant": "str", "alpha": "float", "beta": "float",
-              "ramp_epochs": "int", "total_epochs": "int", "batch_labeled": "int",
-              "batch_unlabeled": "int", "learning_rate": "float",
-              "lr_decay_power": "float", "pseudo_label_threshold": "float",
-              "te_ensemble_rate": "float", "seed": "int", "feature_tap": "str",
-              "teacher_dropout": "bool", "relation_eps": "float",
-              "hidden": "list_int", "conv_channels": "list_int",
-              "dropout_rate": "float"},
-    "perturb": {"rotation_deg_max": "float", "translate_frac_max": "float",
-                "flip_prob": "float", "noise_enabled": "bool",
-                "noise_variance": "float", "noise_clip": "float"},
-    "sweep": {"variant": "list_str", "beta": "list_float",
-              "labeled_fraction": "list_float", "seeds": "list_int"},
-    "output": {"dir": "str", "dump_relations": "list_int"},
+# [section] -> the dataclasses whose fields are its keys. [train] also holds
+# the ModelSection keys, and [perturb] fills TrainConfig.perturb.
+_SECTIONS: dict[str, tuple[type, ...]] = {
+    "dataset": (DatasetSection,),
+    "split": (D.SplitSpec,),
+    "train": (TrainConfig, ModelSection),
+    "perturb": (PerturbConfig,),
+    "sweep": (SweepSection,),
+    "output": (OutputSection,),
+}
+_SECTION_OF = {cls: name for name, classes in _SECTIONS.items() for cls in classes}
+
+
+def _field_kinds(cls: type) -> dict[str, tuple[type, bool]]:
+    """Field name -> (scalar type, comma list?); a scalar is int, float, str or
+    bool, and tuple[X, ...] is a comma list of X. Nested dataclass fields are
+    sections of their own."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            continue
+        is_list = typing.get_origin(hint) is tuple
+        kind = typing.get_args(hint)[0] if is_list else hint
+        if kind not in (int, float, str, bool):
+            raise TypeError(f"{cls.__name__}.{name}: {hint} has no config syntax")
+        out[name] = (kind, is_list)
+    return out
+
+
+# [section] -> key -> (owning dataclass, scalar type, comma list?), built once
+_KEYS: dict[str, dict[str, tuple[type, type, bool]]] = {
+    name: {key: (cls, *kind) for cls in classes for key, kind in _field_kinds(cls).items()}
+    for name, classes in _SECTIONS.items()
 }
 
-_MODEL_KEYS = ("hidden", "conv_channels", "dropout_rate")
+
+def _build(cls: type, values: dict[type, dict], **nested):
+    """Construct one section dataclass; a value its checks reject is a ConfigError."""
+    try:
+        return cls(**values[cls], **nested)
+    except ContractError as exc:
+        raise ConfigError(f"[{_SECTION_OF[cls]}] {exc}") from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Strict parse of the key-value config grammar."""
-    sections: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
+    values: dict[type, dict] = {cls: {} for cls in _SECTION_OF}
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.strip()
-        if not line or line.startswith("#"):
+        line = rawline.partition("#")[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SCHEMA:
+            if name not in _KEYS:
                 raise ConfigError(f"unknown section [{name}]", line=lineno)
             section = name
             continue
@@ -170,40 +188,20 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("key outside any [section]", line=lineno)
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        schema = _SCHEMA[section]
-        if key not in schema:
+        entry = _KEYS[section].get(key)
+        if entry is None:
             raise ConfigError(f"unknown key in [{section}]", line=lineno, key=key)
-        kind = schema[key]
-        if kind.startswith("list_"):
-            sections[section][key] = _parse_list(raw, kind[5:], lineno, key)
-        else:
-            sections[section][key] = _parse_scalar(raw, kind, lineno, key)
-
-    train_kv = dict(sections["train"])
-    model_kv = {k: train_kv.pop(k) for k in _MODEL_KEYS if k in train_kv}
-    if "hidden" in model_kv:
-        model_kv["hidden"] = tuple(model_kv["hidden"])
-    if "conv_channels" in model_kv:
-        model_kv["conv_channels"] = tuple(model_kv["conv_channels"])
-
-    perturb_kv = dict(sections["perturb"])
-    noise = GaussianNoiseConfig(
-        enabled=perturb_kv.pop("noise_enabled", False),
-        variance=perturb_kv.pop("noise_variance", 0.01),
-        clip=perturb_kv.pop("noise_clip", 0.2))
-    perturb = PerturbConfig(noise=noise, **perturb_kv)
-
-    split_kv = dict(sections["split"])
-    split_kv.setdefault("labeled_fraction", 0.2)
+        cls, kind, is_list = entry
+        parse = _parse_list if is_list else _parse_scalar
+        values[cls][key] = parse(raw.strip(), kind, lineno, key)
 
     return ExperimentConfig(
-        dataset=DatasetSection(**sections["dataset"]),
-        split=D.SplitSpec(**split_kv),
-        train=TrainConfig(perturb=perturb, **train_kv),
-        model=ModelSection(**model_kv),
-        sweep=SweepSection(**sections["sweep"]),
-        output=OutputSection(**sections["output"]),
+        dataset=_build(DatasetSection, values),
+        split=_build(D.SplitSpec, values),
+        train=_build(TrainConfig, values, perturb=_build(PerturbConfig, values)),
+        model=_build(ModelSection, values),
+        sweep=_build(SweepSection, values),
+        output=_build(OutputSection, values),
         source_text=text,
     )
 
@@ -332,14 +330,15 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-_METRIC_NAMES = ("auc", "sensitivity", "specificity", "accuracy", "f1")
+# the scalar fields of MetricsReport, in declaration order
+_METRIC_NAMES = tuple(name for name, hint in typing.get_type_hints(MetricsReport).items()
+                      if hint is float)
 
 
 def _row_metrics(row: ResultRow) -> list[float]:
     if row.metrics is None:
         return [float("nan")] * len(_METRIC_NAMES)
-    m = row.metrics
-    return [m.auc, m.sensitivity, m.specificity, m.accuracy, m.f1]
+    return [getattr(row.metrics, name) for name in _METRIC_NAMES]
 
 
 def results_csv_text(report: ExperimentReport) -> str:
@@ -374,12 +373,11 @@ def summary_csv_text(report: ExperimentReport) -> str:
 
 
 def curves_csv_text(curves: list[CurvePoint]) -> str:
-    lines = ["epoch,loss_supervised,loss_consistency,loss_relation,"
-             "ramp_weight,learning_rate,val_auc,val_accuracy"]
+    names = [f.name for f in dataclasses.fields(CurvePoint)]
+    lines = [",".join(names)]
     for c in curves:
-        lines.append(",".join([str(c.epoch)] + [
-            _fmt(v) for v in (c.loss_supervised, c.loss_consistency, c.loss_relation,
-                              c.ramp_weight, c.learning_rate, c.val_auc, c.val_accuracy)]))
+        values = (getattr(c, name) for name in names)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ are reported as 0 / excluded and flagged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,21 +29,15 @@ class MetricsReport:
     flags: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        """Fixed key order; degenerate per-class AUCs serialize as null."""
-        return json.dumps({
-            "auc": self.auc,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "per_class_auc": self.per_class_auc,
-        })
+        """Fields in declaration order, without the flags; degenerate
+        per-class AUCs serialize as null."""
+        record = asdict(self)
+        del record["flags"]
+        return json.dumps(record)
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
-        d = json.loads(text)
-        return cls(d["auc"], d["sensitivity"], d["specificity"], d["accuracy"],
-                   d["f1"], d["per_class_auc"])
+        return cls(**json.loads(text))
 
 
 def roc_auc(scores, labels) -> float:
@@ -62,6 +56,12 @@ def roc_auc(scores, labels) -> float:
     return (wins + 0.5 * ties) / (pos.size * neg.size)
 
 
+def _ovr_counts(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """(TP, FP, TN, FN) per column of boolean [n, k] prediction and truth matrices."""
+    return np.stack([(pred & truth).sum(axis=0), (pred & ~truth).sum(axis=0),
+                     (~pred & ~truth).sum(axis=0), (~pred & truth).sum(axis=0)], axis=1)
+
+
 def confusion_counts(pred, labels, num_classes: int | None = None) -> np.ndarray:
     """One-vs-rest confusion counts; row k is (TP, FP, TN, FN) for class k."""
     pred = np.asarray(pred, dtype=int)
@@ -70,15 +70,8 @@ def confusion_counts(pred, labels, num_classes: int | None = None) -> np.ndarray
         raise DimensionError("pred and labels must have the same length")
     if num_classes is None:
         num_classes = int(max(pred.max(), labels.max())) + 1
-    out = np.zeros((num_classes, 4), dtype=int)
-    for k in range(num_classes):
-        p = pred == k
-        t = labels == k
-        out[k, 0] = int((p & t).sum())
-        out[k, 1] = int((p & ~t).sum())
-        out[k, 2] = int((~p & ~t).sum())
-        out[k, 3] = int((~p & t).sum())
-    return out
+    classes = np.arange(num_classes)
+    return _ovr_counts(pred[:, None] == classes, labels[:, None] == classes)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -99,23 +92,20 @@ def classification_report(probs, labels) -> MetricsReport:
     flags: list[str] = []
 
     if labels.ndim == 1:
+        if labels.shape != (n,):
+            raise DimensionError(f"labels must be {(n,)}, got {labels.shape}")
         if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-6):
             raise ContractError("single-label probabilities must sum to 1 per row")
-        pred = probs.argmax(axis=1)
-        counts = confusion_counts(pred, labels.astype(int), num_classes=k)
-        positives = counts[:, 0] + counts[:, 3]
-        ovr_labels = [(labels == c).astype(int) for c in range(k)]
+        classes = np.arange(k)
+        pred = probs.argmax(axis=1)[:, None] == classes
+        truth = labels[:, None] == classes
     else:
         if labels.shape != (n, k):
             raise DimensionError(f"multi-hot labels must be {(n, k)}, got {labels.shape}")
-        pred_mat = (probs > 0.5).astype(int)
-        counts = np.zeros((k, 4), dtype=int)
-        for c in range(k):
-            p = pred_mat[:, c] == 1
-            t = labels[:, c] == 1
-            counts[c] = [(p & t).sum(), (p & ~t).sum(), (~p & ~t).sum(), (~p & t).sum()]
-        positives = counts[:, 0] + counts[:, 3]
-        ovr_labels = [labels[:, c].astype(int) for c in range(k)]
+        pred = probs > 0.5
+        truth = labels == 1
+    counts = _ovr_counts(pred, truth)
+    positives = counts[:, 0] + counts[:, 3]
 
     sens = np.zeros(k)
     spec = np.zeros(k)
@@ -132,12 +122,11 @@ def classification_report(probs, labels) -> MetricsReport:
     per_class_auc: list[float | None] = []
     valid_auc: list[float] = []
     for c in range(k):
-        ovr = ovr_labels[c]
-        if ovr.sum() == 0 or ovr.sum() == n:
+        if positives[c] == 0 or positives[c] == n:
             per_class_auc.append(None)
             flags.append(f"class {c}: single-class labels; AUC excluded")
             continue
-        value = roc_auc(probs[:, c], ovr)
+        value = roc_auc(probs[:, c], truth[:, c])
         per_class_auc.append(value)
         valid_auc.append(value)
     if not valid_auc:

@@ -7,13 +7,14 @@ receives does not depend on where it lands in the batch or on what other
 samples are present.
 
 Image perturbations follow rotate -> translate -> flip, with nearest
-neighbor resampling and zero padding; optional clipped Gaussian noise is
-added last. Vector inputs only support the noise perturbation.
+neighbor resampling and zero padding; optional clipped Gaussian noise
+(the ``noise_*`` fields of ``PerturbConfig``) is added last. Vector inputs
+only support the noise perturbation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,28 +27,21 @@ def substream(*keys: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class GaussianNoiseConfig:
-    enabled: bool = False
-    variance: float = 0.01
-    clip: float = 0.2
-
-    def __post_init__(self):
-        if self.variance < 0 or self.clip < 0:
-            raise ContractError("noise variance and clip must be >= 0")
-
-
-@dataclass(frozen=True)
 class PerturbConfig:
     rotation_deg_max: float = 10.0
     translate_frac_max: float = 0.02
     flip_prob: float = 0.5
-    noise: GaussianNoiseConfig = field(default_factory=GaussianNoiseConfig)
+    noise_enabled: bool = False         # clipped Gaussian input noise, added last
+    noise_variance: float = 0.01
+    noise_clip: float = 0.2
 
     def __post_init__(self):
         if self.rotation_deg_max < 0 or self.translate_frac_max < 0:
             raise ContractError("perturbation magnitudes must be >= 0")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ContractError("flip_prob must be in [0, 1]")
+        if self.noise_variance < 0 or self.noise_clip < 0:
+            raise ContractError("noise variance and clip must be >= 0")
 
     @classmethod
     def zero(cls) -> "PerturbConfig":
@@ -111,9 +105,9 @@ def draw_perturbation(sample_shape: tuple[int, ...], cfg: PerturbConfig,
         draw.dy = int(rng.integers(-max_px, max_px + 1))
         draw.flip_h = bool(rng.random() < cfg.flip_prob)
         draw.flip_v = bool(rng.random() < cfg.flip_prob)
-    if cfg.noise.enabled:
-        n = rng.normal(0.0, np.sqrt(cfg.noise.variance), size=sample_shape)
-        draw.noise = np.clip(n, -cfg.noise.clip, cfg.noise.clip)
+    if cfg.noise_enabled:
+        n = rng.normal(0.0, np.sqrt(cfg.noise_variance), size=sample_shape)
+        draw.noise = np.clip(n, -cfg.noise_clip, cfg.noise_clip)
     return draw
 
 

@@ -62,6 +62,11 @@ _TAG_BATCH = 1
 _TAG_PERTURB = 2
 _TAG_DROPOUT = 3
 
+# Adam moment decays and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -80,9 +85,6 @@ class TrainConfig:
     feature_tap: str = "post_pool"
     teacher_dropout: bool = True
     relation_eps: float = losses.DEFAULT_ROW_NORM_EPS
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
 
     def __post_init__(self):
@@ -318,10 +320,9 @@ def init_trainer(cfg: TrainConfig, arch: ArchSpec, labeled: Dataset) -> TrainerS
 
 
 def _adam_step(state: TrainerState, grads: dict[str, np.ndarray], lr: float) -> None:
-    cfg = state.config
     state.adam_steps += 1
     t = state.adam_steps
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in state.student.items():
         g = grads.get(name)
         if g is None:
@@ -330,7 +331,7 @@ def _adam_step(state: TrainerState, grads: dict[str, np.ndarray], lr: float) -> 
         v = state.adam_v[name] = b2 * state.adam_v[name] + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        state.student[name] = p - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        state.student[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _probs_node(logits: T.Tensor, multilabel: bool) -> T.Tensor:
@@ -442,18 +443,25 @@ def _train_step(state: TrainerState, batch: Batch, epoch: int, batch_idx: int,
 
 
 def _pseudo_label_pass(state: TrainerState, unlabeled: UnlabeledView) -> None:
-    """Refresh pseudo-labels from the model of the previous epoch."""
+    """Refresh pseudo-labels from the model of the previous epoch.
+
+    Single-label rows follow ``pseudo_label_select``. A multi-label row is
+    kept when every class score is confident (p > t or p < 1 - t), and its
+    label is the multi-hot p > 0.5.
+    """
     if len(unlabeled) == 0:
         state.pseudo = None
         return
     probs = predict_probs(state.arch, state.student, unlabeled.read(), state.multilabel)
-    selected = pseudo_label_select(probs, state.config.pseudo_label_threshold)
-    if not selected:
-        state.pseudo = None
-        return
-    rows = np.array([i for i, _ in selected], dtype=int)
-    labels = np.array([y for _, y in selected], dtype=int)
-    state.pseudo = (rows, labels)
+    t = state.config.pseudo_label_threshold
+    if state.multilabel:
+        rows = np.flatnonzero(((probs > t) | (probs < 1.0 - t)).all(axis=1))
+        labels = (probs[rows] > 0.5).astype(int)
+    else:
+        selected = pseudo_label_select(probs, t)
+        rows = np.array([i for i, _ in selected], dtype=int)
+        labels = np.array([y for _, y in selected], dtype=int)
+    state.pseudo = (rows, labels) if rows.size else None
 
 
 def _self_training_pool(state: TrainerState, splits: Splits) -> Dataset:

@@ -7,9 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relcon import cli
 from relcon import experiments as E
 from relcon.errors import ConfigError, ContractError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+ACCEPTED_KEYS = sorted((section, key) for section, keys in E._KEYS.items() for key in keys)
 
 QUICK_CONFIG = """
 [dataset]
@@ -78,9 +84,54 @@ class TestConfigParsing:
     def test_perturb_section(self):
         cfg = E.parse_config_text(
             "[perturb]\nnoise_enabled = true\nnoise_variance = 0.04\nflip_prob = 0.25\n")
-        assert cfg.train.perturb.noise.enabled
-        assert cfg.train.perturb.noise.variance == 0.04
+        assert cfg.train.perturb.noise_enabled
+        assert cfg.train.perturb.noise_variance == 0.04
         assert cfg.train.perturb.flip_prob == 0.25
+
+    def test_trailing_comments_stripped(self):
+        cfg = E.parse_config_text("[dataset]  # data\npath = # for file/csv\n"
+                                  "size = 12   # image side length\n"
+                                  "[output]\ndir = results  # out\n")
+        assert cfg.dataset.path == ""
+        assert cfg.dataset.size == 12
+        assert cfg.output.dir == "results"
+
+    def test_readme_example_parses_and_names_every_key(self):
+        block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = E.parse_config_text(block)
+        assert cfg.dataset.size == 12 and cfg.dataset.path == ""
+        assert cfg.train.relation_eps == 1e-8
+        assert cfg.output.dir == "results" and cfg.output.dump_relations == ()
+        pairs = set()
+        section = None
+        for line in block.splitlines():
+            line = line.partition("#")[0].strip()
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif line:
+                pairs.add((section, line.partition("=")[0].strip()))
+        assert sorted(pairs) == ACCEPTED_KEYS
+
+    @pytest.mark.parametrize("section, line", [
+        ("perturb", "flip_prob = 2"),
+        ("perturb", "noise_variance = -1"),
+        ("split", "labeled_fraction = 0"),
+    ])
+    def test_rejected_value_is_config_error_naming_section(self, section, line):
+        with pytest.raises(ConfigError, match=rf"\[{section}\]"):
+            E.parse_config_text(f"[{section}]\n{line}\n")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(ACCEPTED_KEYS),
+           st.one_of(st.text(), st.floats().map(repr), st.integers().map(str),
+                     st.sampled_from(["", "true", "no", "moons", "file", "src_mt",
+                                      "pre_pool", "1, 2", "0.5, -1"])))
+    def test_any_value_parses_or_raises_config_error(self, entry, value):
+        section, key = entry
+        try:
+            E.parse_config_text(f"[{section}]\n{key} = {value}\n")
+        except ConfigError:
+            pass
 
     def test_sweep_lists(self):
         cfg = E.parse_config_text(QUICK_CONFIG + SWEEP_BLOCK)
@@ -327,6 +378,12 @@ class TestCli:
         proc = self.run_cli("run", str(cfg_path))
         assert proc.returncode == 2
         assert "bata" in proc.stderr
+
+    def test_rejected_value_exits_with_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("[perturb]\nflip_prob = 2\n")
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert "config error: [perturb]" in capsys.readouterr().err
 
     def test_dump_relations_flag(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

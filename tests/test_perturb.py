@@ -8,7 +8,7 @@ from relcon.errors import DimensionError
 
 
 def _noisy_cfg(variance=0.01, clip=0.2):
-    return P.PerturbConfig(noise=P.GaussianNoiseConfig(True, variance, clip))
+    return P.PerturbConfig(noise_enabled=True, noise_variance=variance, noise_clip=clip)
 
 
 def _perturbed(x, cfg, rng):

@@ -10,7 +10,7 @@ from relcon import data as D
 from relcon import trainer as TR
 from relcon.errors import ConfigError, ContractError
 from relcon.models import ArchSpec
-from relcon.perturb import GaussianNoiseConfig, PerturbConfig
+from relcon.perturb import PerturbConfig
 
 
 def small_splits(seed=0, n=240, noise=0.05):
@@ -387,3 +387,16 @@ class TestTrainingContracts:
                         dropout_rate=0.2)
         res = TR.run_variant(quick_config(variant="src_mt"), arch, splits)
         assert len(res.test_metrics.per_class_auc) == 3
+
+    def test_self_training_multilabel_pseudo_labels_are_multi_hot(self):
+        ds = D.gen_multiblob_images(120, 8, np.random.default_rng(5), noise_sd=0.02)
+        splits = D.split_labeled(ds, D.SplitSpec(0.3, False, 1))
+        arch = ArchSpec(input_shape=(1, 8, 8), num_classes=3, conv_channels=(4, 5),
+                        dropout_rate=0.2)
+        cfg = quick_config(variant="self_training", total_epochs=5,
+                           pseudo_label_threshold=0.5, learning_rate=3e-3)
+        res = TR.run_variant(cfg, arch, splits)
+        assert res.state.pseudo is not None
+        rows, labels = res.state.pseudo
+        assert labels.shape == (rows.size, 3)
+        assert set(np.unique(labels)) <= {0, 1}
