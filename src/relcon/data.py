@@ -111,27 +111,13 @@ class BatchPlan:
 
 @dataclass
 class Batch:
-    x_labeled: np.ndarray
-    y_labeled: np.ndarray
-    ids_labeled: np.ndarray
-    x_unlabeled: np.ndarray | None = None
-    ids_unlabeled: np.ndarray | None = None
+    inputs: np.ndarray          # labeled rows first, then unlabeled rows
+    sample_ids: np.ndarray      # one per input row
+    y_labeled: np.ndarray       # labels of the first n_labeled rows
 
     @property
     def n_labeled(self) -> int:
-        return self.x_labeled.shape[0]
-
-    @property
-    def inputs(self) -> np.ndarray:
-        if self.x_unlabeled is None or self.x_unlabeled.shape[0] == 0:
-            return self.x_labeled
-        return np.concatenate([self.x_labeled, self.x_unlabeled], axis=0)
-
-    @property
-    def sample_ids(self) -> np.ndarray:
-        if self.ids_unlabeled is None or len(self.ids_unlabeled) == 0:
-            return self.ids_labeled
-        return np.concatenate([self.ids_labeled, self.ids_unlabeled])
+        return self.y_labeled.shape[0]
 
     @property
     def size(self) -> int:
@@ -329,7 +315,7 @@ def epoch_batches(labeled: Dataset, unlabeled: UnlabeledView | None,
         order = rng.permutation(len(labeled))
         chunks = [order[i:i + plan.n_labeled] for i in range(0, len(order), plan.n_labeled)]
         return [
-            Batch(labeled.inputs[chunk], labeled.labels[chunk], labeled.ids[chunk])
+            Batch(labeled.inputs[chunk], labeled.ids[chunk], labeled.labels[chunk])
             for chunk in chunks
         ]
 
@@ -340,8 +326,9 @@ def epoch_batches(labeled: Dataset, unlabeled: UnlabeledView | None,
         chunk = u_order[start:start + plan.n_unlabeled]
         lab_idx = np.array([next(cycler) for _ in range(plan.n_labeled)])
         batches.append(Batch(
-            labeled.inputs[lab_idx], labeled.labels[lab_idx], labeled.ids[lab_idx],
-            unlabeled.read(chunk), unlabeled.ids[chunk]))
+            np.concatenate([labeled.inputs[lab_idx], unlabeled.read(chunk)], axis=0),
+            np.concatenate([labeled.ids[lab_idx], unlabeled.ids[chunk]]),
+            labeled.labels[lab_idx]))
     return batches
 
 

@@ -195,7 +195,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         parse = _parse_list if is_list else _parse_scalar
         values[cls][key] = parse(raw.strip(), kind, lineno, key)
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         dataset=_build(DatasetSection, values),
         split=_build(D.SplitSpec, values),
         train=_build(TrainConfig, values, perturb=_build(PerturbConfig, values)),
@@ -204,6 +204,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
         output=_build(OutputSection, values),
         source_text=text,
     )
+    _check_sweep(cfg)
+    return cfg
+
+
+def _check_sweep(cfg: ExperimentConfig) -> None:
+    """Build the TrainConfig or SplitSpec each sweep value makes, so their own
+    checks reject a bad value at parse time rather than in its cell."""
+    for key, base, name in (("variant", cfg.train, "variant"), ("beta", cfg.train, "beta"),
+                            ("seeds", cfg.train, "seed"),
+                            ("labeled_fraction", cfg.split, "labeled_fraction")):
+        for value in getattr(cfg.sweep, key):
+            try:
+                dataclasses.replace(base, **{name: value})
+            except (ConfigError, ContractError) as exc:
+                raise ConfigError(f"[sweep] {key} = {value!r}: {exc}") from None
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -6,15 +6,20 @@ are keyed as (master key..., sample id, view id), so the draw a sample
 receives does not depend on where it lands in the batch or on what other
 samples are present.
 
-Image perturbations follow rotate -> translate -> flip, with nearest
-neighbor resampling and zero padding; optional clipped Gaussian noise
-(the ``noise_*`` fields of ``PerturbConfig``) is added last. Vector inputs
-only support the noise perturbation.
+An image view is rotate -> translate -> flip with nearest-neighbor
+resampling and zero padding, composed into one source-pixel map: each
+output pixel undoes the flips, then the shift, then the rotation, and a
+source outside the image reads 0; a batch is resampled with one gather.
+Both axes shift by up to round(translate_frac_max * W) pixels, W the image
+width; a shift of at least the image size gives a zero image. Optional
+clipped Gaussian noise (the ``noise_*`` fields of ``PerturbConfig``) is
+added last. Vector inputs only support the noise perturbation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,38 +66,6 @@ class PerturbDraw:
     noise: np.ndarray | None = None
 
 
-def _rotate_nearest(img: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Rotate channels-first image about its center; zero fill outside."""
-    c, h, w = img.shape
-    theta = np.deg2rad(angle_deg)
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    dy, dx = rows - cy, cols - cx
-    # inverse map: output pixel looks up the source it came from
-    src_r = np.cos(theta) * dy + np.sin(theta) * dx + cy
-    src_c = -np.sin(theta) * dy + np.cos(theta) * dx + cx
-    sr = np.rint(src_r).astype(int)
-    sc = np.rint(src_c).astype(int)
-    inside = (sr >= 0) & (sr < h) & (sc >= 0) & (sc < w)
-    out = np.zeros_like(img)
-    out[:, inside] = img[:, sr[inside], sc[inside]]
-    return out
-
-
-def _translate(img: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Shift content by (dx right, dy down) with zero padding."""
-    if dx == 0 and dy == 0:
-        return img
-    out = np.zeros_like(img)
-    c, h, w = img.shape
-    src_r = slice(max(0, -dy), min(h, h - dy))
-    dst_r = slice(max(0, dy), min(h, h + dy))
-    src_c = slice(max(0, -dx), min(w, w - dx))
-    dst_c = slice(max(0, dx), min(w, w + dx))
-    out[:, dst_r, dst_c] = img[:, src_r, src_c]
-    return out
-
-
 def draw_perturbation(sample_shape: tuple[int, ...], cfg: PerturbConfig,
                       rng: np.random.Generator) -> PerturbDraw:
     """Sample one PerturbDraw; image inputs draw geometry, vectors only noise."""
@@ -111,27 +84,53 @@ def draw_perturbation(sample_shape: tuple[int, ...], cfg: PerturbConfig,
     return draw
 
 
-def apply_draw(x: np.ndarray, draw: PerturbDraw) -> np.ndarray:
-    """Apply a sampled perturbation to one sample (rotate, translate, flip, noise)."""
-    out = np.asarray(x, dtype=np.float64)
-    if out.ndim == 3:
-        if out.shape[1] < 2 or out.shape[2] < 2:
-            raise DimensionError(f"image perturbation needs H, W >= 2, got {out.shape}")
-        if draw.angle_deg != 0.0:
-            out = _rotate_nearest(out, draw.angle_deg)
-        out = _translate(out, draw.dx, draw.dy)
-        if draw.flip_h:
-            out = out[:, :, ::-1]
-        if draw.flip_v:
-            out = out[:, ::-1, :]
-    if draw.noise is not None:
-        out = out + draw.noise
-    return np.ascontiguousarray(out)
+def _source_pixels(draws: Sequence[PerturbDraw], h: int, w: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Flat source pixel of every output pixel, [N, 1, H*W], and whether it
+    lies in the image.
+
+    Inverts rotate -> translate -> flip: undo the flips, then the shift, then
+    the rotation about the center, rounding to the nearest pixel.
+    """
+    def per_sample(name):
+        return np.array([getattr(d, name) for d in draws])[:, None, None]
+
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    r = np.where(per_sample("flip_v"), h - 1 - rows, rows) - per_sample("dy")
+    c = np.where(per_sample("flip_h"), w - 1 - cols, cols) - per_sample("dx")
+    theta = np.deg2rad(per_sample("angle_deg"))
+    cos, sin = np.cos(theta), np.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    dy, dx = r - cy, c - cx
+    sr = np.rint(cos * dy + sin * dx + cy).astype(int)
+    sc = np.rint(-sin * dy + cos * dx + cx).astype(int)
+    inside = ((r >= 0) & (r < h) & (c >= 0) & (c < w)
+              & (sr >= 0) & (sr < h) & (sc >= 0) & (sc < w))
+    shape = (len(draws), 1, h * w)
+    return np.where(inside, sr * w + sc, 0).reshape(shape), inside.reshape(shape)
+
+
+def apply_draws(x: np.ndarray, draws: Sequence[PerturbDraw]) -> np.ndarray:
+    """Apply draw i to sample i of a batch: geometry as one gather, noise last."""
+    out = np.array(x, dtype=np.float64, order="C")
+    if len(draws) != out.shape[0]:
+        raise ContractError(f"apply_draws: {len(draws)} draws for {out.shape[0]} samples")
+    if out.ndim == 4:
+        n, c, h, w = out.shape
+        if h < 2 or w < 2:
+            raise DimensionError(f"image perturbation needs H, W >= 2, got {out.shape[1:]}")
+        src, inside = _source_pixels(draws, h, w)
+        gathered = np.take_along_axis(out.reshape(n, c, h * w), src, axis=2)
+        # np.where, not a multiply by the mask: 0 * -x would write -0.0
+        out = np.where(inside, gathered, 0.0).reshape(out.shape)
+    noise = [d.noise for d in draws]
+    if any(n is not None for n in noise):
+        out = out + np.stack(noise)   # a None among the arrays fails the stack
+    return out
 
 
 def perturb_pair(x: np.ndarray, cfg: PerturbConfig, master_key: tuple[int, ...],
-                 sample_ids: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray, tuple[list[PerturbDraw], list[PerturbDraw]]]:
+                 sample_ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Two independently perturbed views of a batch.
 
     Each sample i gets its draws from substream (master_key..., id_i, view),
@@ -146,14 +145,9 @@ def perturb_pair(x: np.ndarray, cfg: PerturbConfig, master_key: tuple[int, ...],
     if sample_ids.shape[0] != n:
         raise ContractError("perturb_pair: need one sample id per row")
 
-    views = []
-    all_draws: tuple[list[PerturbDraw], list[PerturbDraw]] = ([], [])
-    for view_id in (0, 1):
-        out = np.empty_like(x)
-        for i in range(n):
-            rng = substream(*master_key, int(sample_ids[i]), view_id)
-            draw = draw_perturbation(x.shape[1:], cfg, rng)
-            all_draws[view_id].append(draw)
-            out[i] = apply_draw(x[i], draw)
-        views.append(out)
-    return views[0], views[1], all_draws
+    view_s, view_t = (
+        apply_draws(x, [draw_perturbation(x.shape[1:], cfg,
+                                          substream(*master_key, int(i), view_id))
+                        for i in sample_ids])
+        for view_id in (0, 1))
+    return view_s, view_t

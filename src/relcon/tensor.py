@@ -36,9 +36,10 @@ def _as_buffer(values) -> Array:
 class Tensor:
     """One node of the tape: a float64 value plus backward plumbing.
 
-    ``data`` is the value, ``grad`` the adjoint (filled by ``backward``),
-    ``op`` the producing operation ("leaf" for parameters/constants), and
-    ``inputs`` the parent nodes. Values are treated as immutable once the
+    ``data`` is the value, ``grad`` the adjoint (left on leaves by
+    ``backward``), ``op`` the producing operation ("leaf" for
+    parameters/constants), and ``inputs`` the parent nodes (empty when no
+    gradient can reach the node). Values are treated as immutable once the
     node exists.
     """
 
@@ -49,11 +50,13 @@ class Tensor:
                  vjp: Callable[[Array], Sequence[Array | None]] | None = None):
         self.data = _as_buffer(values)
         self.op = op
-        self.inputs = inputs
         self.grad: Array | None = None
         self.requires_grad = requires_grad or any(t.requires_grad for t in inputs)
+        # a node no gradient reaches keeps neither parents nor vjp, so a
+        # constant-only pass frees its intermediates as it goes
+        self.inputs = inputs if self.requires_grad else ()
         self.name = name
-        self._vjp = vjp
+        self._vjp = vjp if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -367,6 +370,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     cout = w.shape[0]
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    pad_shape = xp.shape   # the vjp keeps the shape, not the padded buffer
     # [B, Cin, H, W, 3, 3] patches -> [B*H*W, Cin*9]
     win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * wd, cin * 9)
@@ -377,7 +381,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         gcols = g.transpose(0, 2, 3, 1).reshape(b * h * wd, cout)
         gw = (gcols.T @ cols).reshape(cout, cin, 3, 3)
         gx_cols = (gcols @ wmat).reshape(b, h, wd, cin, 3, 3)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(pad_shape)
         for ki in range(3):
             for kj in range(3):
                 gxp[:, :, ki:ki + h, kj:kj + wd] += gx_cols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
@@ -434,7 +438,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> dict[str, Array]:
-    """Reverse sweep from a scalar root; fills .grad on every reachable node.
+    """Reverse sweep from a scalar root; leaves .grad on every reachable leaf.
 
     Returns a map from parameter name to gradient for every named leaf
     with requires_grad that the sweep reached.
@@ -446,9 +450,10 @@ def backward(root: Tensor) -> dict[str, Array]:
         node.grad = None
     root.grad = np.ones(1)
     for node in reversed(order):
-        if node.grad is None or node._vjp is None or not node.requires_grad:
+        if node.grad is None or node._vjp is None:
             continue
         input_grads = node._vjp(node.grad)
+        node.grad = None   # interior adjoints are spent once passed on
         for parent, g in zip(node.inputs, input_grads):
             if g is None or not parent.requires_grad:
                 continue

@@ -284,18 +284,14 @@ def combine_losses(supervised: T.Tensor, consistency: T.Tensor | None,
         ramp_weight=ramp_weight, relation_weight=relation_weight, total=total.item())
 
 
-def pseudo_label_select(probs: np.ndarray, threshold: float) -> list[tuple[int, int]]:
-    """Samples whose top probability strictly exceeds the threshold, with
-    their argmax label (ties resolve to the lowest class index)."""
+def pseudo_label_select(probs: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose top probability strictly exceeds the threshold, and their
+    argmax labels (ties resolve to the lowest class index)."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise DimensionError(f"probs must be [B, K], got {probs.shape}")
-    out = []
-    for i in range(probs.shape[0]):
-        top = int(np.argmax(probs[i]))
-        if probs[i, top] > threshold:
-            out.append((i, top))
-    return out
+    rows = np.flatnonzero(probs.max(axis=1) > threshold)
+    return rows, probs[rows].argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +376,7 @@ def _train_step(state: TrainerState, batch: Batch, epoch: int, batch_idx: int,
     b = x.shape[0]
 
     step_key = (cfg.seed, _TAG_PERTURB, epoch, batch_idx)
-    view_s, view_t, _ = perturb_pair(x, cfg.perturb, step_key, sample_ids=ids)
+    view_s, view_t = perturb_pair(x, cfg.perturb, step_key, sample_ids=ids)
 
     out_s = models.forward(
         state.arch, state.student, view_s, mode="train",
@@ -458,9 +454,7 @@ def _pseudo_label_pass(state: TrainerState, unlabeled: UnlabeledView) -> None:
         rows = np.flatnonzero(((probs > t) | (probs < 1.0 - t)).all(axis=1))
         labels = (probs[rows] > 0.5).astype(int)
     else:
-        selected = pseudo_label_select(probs, t)
-        rows = np.array([i for i, _ in selected], dtype=int)
-        labels = np.array([y for _, y in selected], dtype=int)
+        rows, labels = pseudo_label_select(probs, t)
     state.pseudo = (rows, labels) if rows.size else None
 
 

@@ -142,8 +142,8 @@ class TestBatching:
         plan = D.BatchPlan(8, 0)
         batches = D.epoch_batches(splits.labeled, splits.unlabeled, plan,
                                   np.random.default_rng(0))
-        assert all(b.x_unlabeled is None for b in batches)
-        seen = np.concatenate([b.ids_labeled for b in batches])
+        assert all(b.n_labeled == b.size for b in batches)
+        seen = np.concatenate([b.sample_ids for b in batches])
         assert sorted(seen.tolist()) == sorted(splits.labeled.ids.tolist())
 
     def test_unlabeled_covered_exactly_once_when_divisible(self):
@@ -155,7 +155,7 @@ class TestBatching:
         batches = D.epoch_batches(splits.labeled, splits.unlabeled, plan,
                                   np.random.default_rng(1))
         assert len(batches) == 2
-        seen = np.concatenate([b.ids_unlabeled for b in batches])
+        seen = np.concatenate([b.sample_ids[b.n_labeled:] for b in batches])
         assert sorted(seen.tolist()) == sorted(splits.unlabeled.ids.tolist())
 
     def test_labeled_stream_cycles(self):
@@ -163,7 +163,7 @@ class TestBatching:
         plan = D.BatchPlan(12, 36)
         batches = D.epoch_batches(splits.labeled, splits.unlabeled, plan,
                                   np.random.default_rng(2))
-        seen = np.concatenate([b.ids_labeled for b in batches])
+        seen = np.concatenate([b.sample_ids[:b.n_labeled] for b in batches])
         assert len(seen) == 12 * len(batches)
         assert set(seen.tolist()) == set(splits.labeled.ids.tolist())
 

@@ -121,6 +121,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"\[{section}\]"):
             E.parse_config_text(f"[{section}]\n{line}\n")
 
+    @pytest.mark.parametrize("line", [
+        "variant = mt, srcmt",
+        "labeled_fraction = 0.2, 0",
+        "beta = 1, -1",
+        "seeds = 0, -1",
+    ])
+    def test_rejected_sweep_value_is_config_error(self, line):
+        key = line.partition(" ")[0]
+        with pytest.raises(ConfigError, match=rf"^\[sweep\] {key} = "):
+            E.parse_config_text(QUICK_CONFIG + f"[sweep]\n{line}\n")
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.sampled_from(ACCEPTED_KEYS),
            st.one_of(st.text(), st.floats().map(repr), st.integers().map(str),
@@ -384,6 +395,13 @@ class TestCli:
         cfg_path.write_text("[perturb]\nflip_prob = 2\n")
         assert cli.main(["run", str(cfg_path)]) == 2
         assert "config error: [perturb]" in capsys.readouterr().err
+
+    def test_rejected_sweep_value_exits_with_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(QUICK_CONFIG + "[sweep]\nvariant = mt, srcmt\n")
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: [sweep] variant = 'srcmt'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_dump_relations_flag(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

@@ -141,6 +141,21 @@ class TestBackward:
         assert err <= 1e-6
         assert grads["x"].shape == (2, 2)
 
+    def test_constant_only_nodes_keep_no_tape(self):
+        c = T.constant(np.ones((2, 2)))
+        const_out = T.relu(T.matmul(c, c))
+        assert const_out.inputs == () and not const_out.requires_grad
+        x = T.parameter(np.ones((2, 2)), name="x")
+        mixed = T.matmul(x, c)
+        assert mixed.inputs == (x, c)
+
+    def test_backward_keeps_leaf_grads_only(self):
+        x = T.parameter([[1.0, -2.0], [3.0, 4.0]], name="x")
+        hidden = T.relu(T.matmul(x, T.transpose(x)))
+        grads = T.backward(T.sum_all(hidden))
+        assert hidden.grad is None
+        assert x.grad is grads["x"]
+
 
 class TestFiniteDifferenceCheck:
     def test_linear_nearly_exact(self):

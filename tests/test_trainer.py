@@ -116,18 +116,22 @@ class TestCombineLosses:
 
 
 class TestPseudoLabels:
+    @staticmethod
+    def select(probs, threshold):
+        rows, labels = TR.pseudo_label_select(np.array(probs), threshold)
+        return rows.tolist(), labels.tolist()
+
     def test_selected_above_threshold(self):
-        assert TR.pseudo_label_select(np.array([[0.95, 0.05]]), 0.9) == [(0, 0)]
+        assert self.select([[0.95, 0.05]], 0.9) == ([0], [0])
 
     def test_below_threshold(self):
-        assert TR.pseudo_label_select(np.array([[0.6, 0.4]]), 0.9) == []
+        assert self.select([[0.6, 0.4]], 0.9) == ([], [])
 
     def test_boundary_is_strict(self):
-        assert TR.pseudo_label_select(np.array([[0.9, 0.1]]), 0.9) == []
+        assert self.select([[0.9, 0.1]], 0.9) == ([], [])
 
     def test_tie_takes_lowest_class(self):
-        out = TR.pseudo_label_select(np.array([[0.46, 0.46, 0.08]]), 0.4)
-        assert out == [(0, 0)]
+        assert self.select([[0.46, 0.46, 0.08]], 0.4) == ([0], [0])
 
 
 def te_epoch(store, ids, predictions):
