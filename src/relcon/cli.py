@@ -42,8 +42,7 @@ def _apply_overrides(cfg: experiments.ExperimentConfig, args) -> experiments.Exp
     if args.out is not None:
         cfg.output = dataclasses.replace(cfg.output, dir=args.out)
     if args.dump_relations is not None:
-        epochs = tuple(int(e) for e in args.dump_relations.split(",") if e.strip())
-        cfg.output = dataclasses.replace(cfg.output, dump_relations=epochs)
+        cfg = experiments.with_dump_relations(cfg, args.dump_relations)
     return cfg
 
 

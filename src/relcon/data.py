@@ -8,13 +8,13 @@ Two generator families stand in for real data at desk scale:
 
 Splitting follows a 70/10/20 train/validation/test partition; within the
 training part a configurable fraction becomes the labeled set and the rest
-an unlabeled view whose labels are hidden from training code (they are
-retained privately for oracle evaluation only, and every read of the
-unlabeled inputs is counted).
+an unlabeled view that holds no labels (every read of its inputs is
+counted). A dataset's kind follows from the shape of its inputs.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -30,15 +30,15 @@ _VERSION = 1
 class Dataset:
     inputs: np.ndarray        # [N, D] vectors or [N, C, H, W] images
     labels: np.ndarray        # [N] class indices or [N, K] multi-hot
-    kind: str                 # "vector" | "image"
     num_classes: int
     ids: np.ndarray | None = None   # stable per-sample ids; default arange
 
     def __post_init__(self):
         self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels)
-        if self.kind not in ("vector", "image"):
-            raise ContractError(f"kind must be 'vector' or 'image', got {self.kind!r}")
+        if self.inputs.ndim not in (2, 4):
+            raise DimensionError(
+                f"inputs must be [N, D] vectors or [N, C, H, W] images, got {self.inputs.shape}")
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise DimensionError("inputs and labels disagree on sample count")
         if self.ids is None:
@@ -49,26 +49,28 @@ class Dataset:
         return self.inputs.shape[0]
 
     @property
+    def kind(self) -> str:
+        return "vector" if self.inputs.ndim == 2 else "image"
+
+    @property
     def multilabel(self) -> bool:
         return self.labels.ndim == 2
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[idx], self.labels[idx], self.kind,
-                       self.num_classes, ids=self.ids[idx])
+        return Dataset(self.inputs[idx], self.labels[idx], self.num_classes,
+                       ids=self.ids[idx])
 
 
 class UnlabeledView:
-    """Inputs-only view of a dataset slice.
+    """Inputs-only view of a dataset slice: it holds no labels.
 
-    Training code can see ``ids`` and call ``read``; the ground-truth
-    labels are hidden behind ``oracle_labels`` which exists solely for
-    post-hoc evaluation. ``reads`` counts every input access.
+    Training code can see ``ids`` and call ``read``; ``reads`` counts every
+    input access.
     """
 
-    def __init__(self, inputs: np.ndarray, ids: np.ndarray, hidden_labels: np.ndarray):
+    def __init__(self, inputs: np.ndarray, ids: np.ndarray):
         self._inputs = inputs
         self.ids = np.asarray(ids, dtype=int)
-        self._hidden_labels = hidden_labels
         self.reads = 0
 
     def __len__(self) -> int:
@@ -78,10 +80,6 @@ class UnlabeledView:
         """Fetch (a subset of) the unlabeled inputs; every call is counted."""
         self.reads += 1
         return self._inputs if idx is None else self._inputs[idx]
-
-    def oracle_labels(self) -> np.ndarray:
-        """Hidden labels, for evaluation harnesses only (never the trainer)."""
-        return self._hidden_labels
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,6 @@ class BatchPlan:
     def __post_init__(self):
         if self.n_labeled < 1 or self.n_unlabeled < 0:
             raise ContractError("batch plan needs n_labeled >= 1 and n_unlabeled >= 0")
-
-    @property
-    def batch_size(self) -> int:
-        return self.n_labeled + self.n_unlabeled
 
 
 @dataclass
@@ -147,7 +141,7 @@ def gen_two_moons(n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
     pts = np.concatenate([upper, lower], axis=0)
     pts = pts + rng.normal(0.0, noise_sd, size=pts.shape) if noise_sd > 0 else pts
     labels = np.concatenate([np.zeros(half, dtype=int), np.ones(half, dtype=int)])
-    return Dataset(pts, labels, "vector", 2)
+    return Dataset(pts, labels, 2)
 
 
 def geometric_class_counts(n: int, num_classes: int, ratio: float) -> np.ndarray:
@@ -202,7 +196,7 @@ def gen_blob_images(n: int, num_classes: int, size: int, imbalance_ratio: float,
             images[row, 0] = blob
             labels[row] = k
             row += 1
-    return Dataset(images, labels, "image", num_classes)
+    return Dataset(images, labels, num_classes)
 
 
 def gen_multiblob_images(n: int, size: int, rng: np.random.Generator,
@@ -238,7 +232,7 @@ def gen_multiblob_images(n: int, size: int, rng: np.random.Generator,
         if noise_sd > 0:
             canvas = canvas + rng.normal(0.0, noise_sd, size=(size, size))
         images[i, 0] = canvas
-    return Dataset(images, present.astype(int), "image", num_types)
+    return Dataset(images, present.astype(int), num_types)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +273,9 @@ def split_labeled(ds: Dataset, spec: SplitSpec) -> Splits:
         labeled_idx = _stratified_pick(ds.labels, train_idx, quota)
     else:
         labeled_idx = train_idx[:quota]
-    labeled_set = set(labeled_idx.tolist())
-    unlabeled_idx = np.array([i for i in train_idx if i not in labeled_set], dtype=int)
+    is_labeled = np.zeros(n, dtype=bool)
+    is_labeled[labeled_idx] = True
+    unlabeled_idx = train_idx[~is_labeled[train_idx]]
 
     if not ds.multilabel:
         present = np.unique(ds.labels[labeled_idx])
@@ -289,8 +284,7 @@ def split_labeled(ds: Dataset, spec: SplitSpec) -> Splits:
                 f"labeled split covers {len(present)} of {ds.num_classes} classes")
 
     labeled = ds.subset(labeled_idx)
-    unlabeled = UnlabeledView(ds.inputs[unlabeled_idx], ds.ids[unlabeled_idx],
-                              ds.labels[unlabeled_idx])
+    unlabeled = UnlabeledView(ds.inputs[unlabeled_idx], ds.ids[unlabeled_idx])
     return Splits(labeled, unlabeled, ds.subset(val_idx), ds.subset(test_idx))
 
 
@@ -306,11 +300,6 @@ def epoch_batches(labeled: Dataset, unlabeled: UnlabeledView | None,
     if len(labeled) < 1:
         raise ContractError("need at least one labeled sample")
 
-    def labeled_cycler():
-        while True:
-            for i in rng.permutation(len(labeled)):
-                yield i
-
     if unlabeled is None or plan.n_unlabeled == 0 or len(unlabeled) == 0:
         order = rng.permutation(len(labeled))
         chunks = [order[i:i + plan.n_labeled] for i in range(0, len(order), plan.n_labeled)]
@@ -320,11 +309,15 @@ def epoch_batches(labeled: Dataset, unlabeled: UnlabeledView | None,
         ]
 
     u_order = rng.permutation(len(unlabeled))
-    cycler = labeled_cycler()
+    starts = range(0, len(u_order), plan.n_unlabeled)
+    # the labeled stream: as many reshuffled passes as the epoch's batches use
+    need = len(starts) * plan.n_labeled
+    l_order = np.concatenate([rng.permutation(len(labeled))
+                              for _ in range(-(-need // len(labeled)))])
     batches = []
-    for start in range(0, len(u_order), plan.n_unlabeled):
+    for b, start in enumerate(starts):
         chunk = u_order[start:start + plan.n_unlabeled]
-        lab_idx = np.array([next(cycler) for _ in range(plan.n_labeled)])
+        lab_idx = l_order[b * plan.n_labeled:(b + 1) * plan.n_labeled]
         batches.append(Batch(
             np.concatenate([labeled.inputs[lab_idx], unlabeled.read(chunk)], axis=0),
             np.concatenate([labeled.ids[lab_idx], unlabeled.ids[chunk]]),
@@ -369,11 +362,10 @@ def load_dataset(path) -> Dataset:
         raise FormatError("truncated header", offset=len(blob)) from None
     if version != _VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    kind = "image" if kind_byte & 1 else "vector"
     multilabel = bool(kind_byte & 2)
-    dims = dims3 if kind == "image" else dims3[:1]
+    dims = dims3 if kind_byte & 1 else dims3[:1]
     off = 29
-    n_input = n * int(np.prod(dims))
+    n_input = n * math.prod(dims)
     if len(blob) < off + 8 * n_input:
         raise FormatError("truncated input block", offset=len(blob))
     inputs = np.frombuffer(blob, dtype="<f8", count=n_input, offset=off).reshape((n,) + dims)
@@ -382,6 +374,10 @@ def load_dataset(path) -> Dataset:
         if len(blob) < off + n * k:
             raise FormatError("truncated label block", offset=len(blob))
         labels = np.frombuffer(blob, dtype=np.uint8, count=n * k, offset=off)
+        bad = np.flatnonzero(labels > 1)
+        if bad.size:
+            raise FormatError(f"multi-hot entry {labels[bad[0]]} is not 0 or 1",
+                              offset=off + int(bad[0]))
         labels = labels.reshape(n, k).astype(int)
     else:
         if len(blob) < off + 2 * n:
@@ -391,7 +387,7 @@ def load_dataset(path) -> Dataset:
         if bad.size:
             raise FormatError(f"class index {labels[bad[0]]} out of range for {k} classes",
                               offset=off + 2 * int(bad[0]))
-    return Dataset(np.ascontiguousarray(inputs), labels, kind, k)
+    return Dataset(np.ascontiguousarray(inputs), labels, k)
 
 
 def load_csv_dataset(path) -> Dataset:
@@ -405,4 +401,4 @@ def load_csv_dataset(path) -> Dataset:
     labels = table[:, -1].astype(int)
     if (labels < 0).any():
         raise FormatError("labels must be non-negative class indices")
-    return Dataset(table[:, :-1], labels, "vector", int(labels.max()) + 1)
+    return Dataset(table[:, :-1], labels, int(labels.max()) + 1)

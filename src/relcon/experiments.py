@@ -35,7 +35,7 @@ from . import data as D
 from .errors import ConfigError, ContractError
 from .losses import write_matrix_csv
 from .metrics import MetricsReport
-from .models import ArchSpec
+from .models import ArchSpec, ModelSection
 from .perturb import PerturbConfig
 from .trainer import CurvePoint, TrainConfig, run_variant
 
@@ -57,17 +57,19 @@ class DatasetSection:
     seed: int = 7
 
     def __post_init__(self):
+        """Reject at parse time what the chosen generator would reject."""
         if self.generator not in _GENERATORS:
             raise ConfigError(f"generator must be one of {_GENERATORS}", key="generator")
         if self.generator in ("file", "csv") and not self.path:
             raise ConfigError("file/csv generator needs a path", key="path")
-
-
-@dataclass(frozen=True)
-class ModelSection:
-    hidden: tuple[int, ...] = (32, 32)
-    conv_channels: tuple[int, ...] = (6, 8)
-    dropout_rate: float = 0.2
+        if self.generator in ("blobs", "multiblobs") and self.size < 8:
+            raise ConfigError("image generators need size >= 8", key="size")
+        if self.generator == "blobs" and self.classes < 2:
+            raise ConfigError("blobs need at least 2 classes", key="classes")
+        if self.generator == "blobs" and self.imbalance_ratio <= 0:
+            raise ConfigError("imbalance_ratio must be > 0", key="imbalance_ratio")
+        if self.generator == "moons" and self.n % 2 != 0:
+            raise ConfigError("moons need an even n", key="n")
 
 
 @dataclass(frozen=True)
@@ -205,6 +207,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         source_text=text,
     )
     _check_sweep(cfg)
+    _check_dump_epochs(cfg)
     return cfg
 
 
@@ -219,6 +222,24 @@ def _check_sweep(cfg: ExperimentConfig) -> None:
                 dataclasses.replace(base, **{name: value})
             except (ConfigError, ContractError) as exc:
                 raise ConfigError(f"[sweep] {key} = {value!r}: {exc}") from None
+
+
+def _check_dump_epochs(cfg: ExperimentConfig) -> None:
+    total = cfg.train.total_epochs
+    for epoch in cfg.output.dump_relations:
+        if not 0 <= epoch < total:
+            raise ConfigError(f"[output] dump_relations: epoch {epoch} is outside "
+                              f"[0, {total}) for total_epochs = {total}")
+
+
+def with_dump_relations(cfg: ExperimentConfig, raw: str) -> ExperimentConfig:
+    """``cfg`` with ``[output] dump_relations`` replaced by ``raw``, a comma
+    list in the config grammar, checked as the parser checks it."""
+    epochs = _parse_list(raw, int, None, "dump_relations")
+    out = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output,
+                                                              dump_relations=epochs))
+    _check_dump_epochs(out)
+    return out
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -437,16 +458,6 @@ def load_results_csv(path) -> list[dict]:
         row["seed"] = int(row["seed"])
         rows.append(row)
     return rows
-
-
-def load_curves_csv(path) -> list[CurvePoint]:
-    """Re-parse a curves.csv written by emit_reports."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    points = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        points.append(CurvePoint(int(parts[0]), *(float(v) for v in parts[1:])))
-    return points
 
 
 def compare_table(rows: list[dict], baseline_variant: str) -> list[dict]:

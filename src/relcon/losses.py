@@ -164,8 +164,3 @@ def write_matrix_csv(matrix, path) -> None:
         for row in np.atleast_2d(m):
             fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
 
-
-def read_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    return np.asarray(rows, dtype=np.float64)

@@ -35,10 +35,6 @@ class MetricsReport:
         del record["flags"]
         return json.dumps(record)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        return cls(**json.loads(text))
-
 
 def roc_auc(scores, labels) -> float:
     """Pairwise win fraction of positives over negatives, ties half-counted."""
@@ -60,18 +56,6 @@ def _ovr_counts(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """(TP, FP, TN, FN) per column of boolean [n, k] prediction and truth matrices."""
     return np.stack([(pred & truth).sum(axis=0), (pred & ~truth).sum(axis=0),
                      (~pred & ~truth).sum(axis=0), (~pred & truth).sum(axis=0)], axis=1)
-
-
-def confusion_counts(pred, labels, num_classes: int | None = None) -> np.ndarray:
-    """One-vs-rest confusion counts; row k is (TP, FP, TN, FN) for class k."""
-    pred = np.asarray(pred, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    if pred.shape != labels.shape:
-        raise DimensionError("pred and labels must have the same length")
-    if num_classes is None:
-        num_classes = int(max(pred.max(), labels.max())) + 1
-    classes = np.arange(num_classes)
-    return _ovr_counts(pred[:, None] == classes, labels[:, None] == classes)
 
 
 def _safe_div(num: float, den: float) -> float:

@@ -14,8 +14,9 @@ global pooling (``pre_pool``, conv only) and right after it (``post_pool``).
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,23 +30,34 @@ _VERSION = 1
 
 
 @dataclass(frozen=True)
-class ArchSpec:
-    """Architecture description; the input shape decides MLP vs conv."""
+class ModelSection:
+    """Layer widths and dropout: the ``[train]`` model keys of a config."""
 
-    input_shape: tuple[int, ...]
-    num_classes: int
     hidden: tuple[int, ...] = (32, 32)
     conv_channels: tuple[int, ...] = (6, 8)
     dropout_rate: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "hidden", tuple(self.hidden))
         object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
-        if self.num_classes < 2:
-            raise ContractError("num_classes must be >= 2")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ContractError("dropout_rate must be in [0, 1)")
+        if min(self.hidden + self.conv_channels, default=1) < 1:
+            raise ContractError("layer widths (hidden, conv_channels) must be >= 1")
+
+
+@dataclass(frozen=True)
+class ArchSpec(ModelSection):
+    """Architecture description; the input shape decides MLP vs conv."""
+
+    input_shape: tuple[int, ...] = field(kw_only=True)
+    num_classes: int = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        if self.num_classes < 2:
+            raise ContractError("num_classes must be >= 2")
         if len(self.input_shape) == 1:
             if not self.hidden:
                 raise ContractError("MLP needs at least one hidden layer")
@@ -58,11 +70,6 @@ class ArchSpec:
     @property
     def kind(self) -> str:
         return "mlp" if len(self.input_shape) == 1 else "conv"
-
-    @property
-    def feature_dim(self) -> int:
-        """Width of the post_pool feature vector."""
-        return self.hidden[-1] if self.kind == "mlp" else self.conv_channels[-1]
 
 
 @dataclass
@@ -134,7 +141,7 @@ def forward(spec: ArchSpec, params: Params, x: np.ndarray, mode: str = "eval",
     if spec.kind == "mlp":
         h = T.constant(x)
         for i in range(len(spec.hidden)):
-            h = T.relu(T.add_rows(T.matmul(h, leaf[f"dense{i}.w"]), leaf[f"dense{i}.b"]))
+            h = T.relu(T.add_bias(T.matmul(h, leaf[f"dense{i}.w"]), leaf[f"dense{i}.b"]))
         if use_dropout:
             h = _dropout(h, spec.dropout_rate, rng)
         post = h
@@ -142,12 +149,12 @@ def forward(spec: ArchSpec, params: Params, x: np.ndarray, mode: str = "eval",
     else:
         h = T.constant(x)
         for i in range(len(spec.conv_channels)):
-            h = T.relu(T.add_channel_bias(T.conv2d(h, leaf[f"conv{i}.w"]), leaf[f"conv{i}.b"]))
+            h = T.relu(T.add_bias(T.conv2d(h, leaf[f"conv{i}.w"]), leaf[f"conv{i}.b"]))
         if use_dropout:
             h = _dropout(h, spec.dropout_rate, rng)
         pre = h
         post = T.global_avg_pool(h)
-    logits = T.add_rows(T.matmul(post, leaf["head.w"]), leaf["head.b"])
+    logits = T.add_bias(T.matmul(post, leaf["head.w"]), leaf["head.b"])
     return ForwardOutput(logits=logits, features_post_pool=post, features_pre_pool=pre)
 
 
@@ -209,16 +216,22 @@ def load_params(path) -> Params:
             except UnicodeDecodeError:
                 raise FormatError("parameter name is not valid UTF-8", offset=off) from None
             off += name_len
+            shape_off = off
             (ndim,) = struct.unpack_from("<B", blob, off)
             off += 1
             dims = struct.unpack_from(f"<{ndim}I", blob, off)
             off += 4 * ndim
-            n_bytes = 8 * int(np.prod(dims))
-            if len(blob) < off + n_bytes:
+            size = math.prod(dims)
+            if len(blob) < off + 8 * size:
                 raise struct.error
-            data = np.frombuffer(blob, dtype="<f8", count=int(np.prod(dims)), offset=off)
-            off += n_bytes
+            data = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
+            off += 8 * size
         except struct.error:
             raise FormatError("truncated tensor record", offset=off) from None
-        params[name] = np.ascontiguousarray(data.reshape(dims))
+        try:
+            # too many dims, or an extent product past numpy's index range
+            params[name] = np.ascontiguousarray(data.reshape(dims))
+        except ValueError:
+            raise FormatError(f"numpy cannot hold a tensor of shape {dims}",
+                              offset=shape_off) from None
     return params

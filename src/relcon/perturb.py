@@ -48,11 +48,6 @@ class PerturbConfig:
         if self.noise_variance < 0 or self.noise_clip < 0:
             raise ContractError("noise variance and clip must be >= 0")
 
-    @classmethod
-    def zero(cls) -> "PerturbConfig":
-        """Identity perturbation: useful for ablations and tests."""
-        return cls(rotation_deg_max=0.0, translate_frac_max=0.0, flip_prob=0.0)
-
 
 @dataclass
 class PerturbDraw:

@@ -203,15 +203,17 @@ def clip_min(a: Tensor, floor: float) -> Tensor:
 # row-wise ops
 
 
-def add_rows(x: Tensor, b: Tensor) -> Tensor:
-    """Add vector b to every row of 2-D x (the bias pattern)."""
-    if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise DimensionError(f"add_rows: shapes {x.shape} and {b.shape} incompatible")
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    """Add vector b along axis 1 of a 2-D [B, D] or 4-D [B, C, H, W] tensor."""
+    if x.ndim not in (2, 4) or b.ndim != 1 or x.shape[1] != b.shape[0]:
+        raise DimensionError(f"add_bias: shapes {x.shape} and {b.shape} incompatible")
+    other_axes = (0,) + tuple(range(2, x.ndim))
 
     def vjp(g: Array):
-        return g, g.sum(axis=0)
+        return g, g.sum(axis=other_axes)
 
-    return _node("add_rows", x.data + b.data[None, :], (x, b), vjp)
+    return _node("add_bias", x.data + b.data.reshape((1, -1) + (1,) * (x.ndim - 2)),
+                 (x, b), vjp)
 
 
 def div_rows(x: Tensor, r: Tensor) -> Tensor:
@@ -388,17 +390,6 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         return np.ascontiguousarray(gxp[:, :, 1:-1, 1:-1]), gw
 
     return _node("conv2d", np.ascontiguousarray(out), (x, w), vjp)
-
-
-def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add per-channel bias b[c] to a [B, C, H, W] tensor."""
-    if x.ndim != 4 or b.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise DimensionError(f"add_channel_bias: shapes {x.shape} and {b.shape} incompatible")
-
-    def vjp(g: Array):
-        return g, g.sum(axis=(0, 2, 3))
-
-    return _node("add_channel_bias", x.data + b.data[None, :, None, None], (x, b), vjp)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -125,8 +125,6 @@ class LossBreakdown:
     supervised: float
     consistency: float
     relation: float
-    ramp_weight: float
-    relation_weight: float
     total: float
 
 
@@ -281,7 +279,7 @@ def combine_losses(supervised: T.Tensor, consistency: T.Tensor | None,
         cons_value = consistency.item()
     return total, LossBreakdown(
         supervised=supervised.item(), consistency=cons_value, relation=rel_value,
-        ramp_weight=ramp_weight, relation_weight=relation_weight, total=total.item())
+        total=total.item())
 
 
 def pseudo_label_select(probs: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -467,7 +465,7 @@ def _self_training_pool(state: TrainerState, splits: Splits) -> Dataset:
     return Dataset(
         np.concatenate([labeled.inputs, extra_inputs], axis=0),
         np.concatenate([labeled.labels, labels]),
-        labeled.kind, labeled.num_classes,
+        labeled.num_classes,
         ids=np.concatenate([labeled.ids, splits.unlabeled.ids[rows]]),
     )
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcon import data as D
-from relcon.errors import ContractError, FormatError, SplitError
+from relcon import models
+from relcon.errors import ContractError, DimensionError, FormatError, SplitError
 
 
 class TestTwoMoons:
@@ -74,6 +77,18 @@ class TestBlobImages:
         assert (ds.labels.sum(axis=0) < 40).all()
 
 
+class TestDataset:
+    def test_kind_follows_input_shape(self):
+        y = np.zeros(4, dtype=int)
+        assert D.Dataset(np.zeros((4, 2)), y, 2).kind == "vector"
+        assert D.Dataset(np.zeros((4, 1, 3, 3)), y, 2).kind == "image"
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2, 2), (4, 1, 2, 2, 2)])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            D.Dataset(np.zeros(shape), np.zeros(4, dtype=int), 2)
+
+
 class TestSplit:
     def test_fractions(self):
         ds = D.gen_two_moons(1000, 0.1, np.random.default_rng(7))
@@ -93,8 +108,7 @@ class TestSplit:
         ds = D.gen_two_moons(1000, 0.1, np.random.default_rng(9))
         splits = D.split_labeled(ds, D.SplitSpec(0.1, True, 1))
         counts = np.bincount(splits.labeled.labels)
-        pool = np.concatenate([splits.labeled.labels,
-                               np.asarray(splits.unlabeled.oracle_labels())])
+        pool = np.concatenate([splits.labeled.labels, ds.labels[splits.unlabeled.ids]])
         pool_counts = np.bincount(pool)
         for k in range(2):
             assert abs(counts[k] - 0.1 * pool_counts[k]) <= 1.0
@@ -107,6 +121,13 @@ class TestSplit:
             splits.validation.ids, splits.test.ids])
         assert sorted(all_ids.tolist()) == list(range(200))
 
+    def test_unlabeled_keeps_training_order(self):
+        ds = D.gen_blob_images(200, 2, 8, 1.0, np.random.default_rng(10))
+        splits = D.split_labeled(ds, D.SplitSpec(0.25, True, 2))
+        train = np.random.default_rng(2).permutation(200)[:140]
+        labeled = set(splits.labeled.ids.tolist())
+        assert splits.unlabeled.ids.tolist() == [i for i in train if i not in labeled]
+
     def test_tiny_fraction_raises_when_class_lost(self):
         ds = D.gen_blob_images(200, 4, 8, 1.0, np.random.default_rng(11))
         with pytest.raises(SplitError):
@@ -116,12 +137,28 @@ class TestSplit:
         ds = D.gen_two_moons(100, 0.1, np.random.default_rng(12))
         splits = D.split_labeled(ds, D.SplitSpec(0.5, True, 4))
         view = splits.unlabeled
-        assert not hasattr(view, "labels")
+        assert not any("label" in name for name in vars(view))
         assert view.reads == 0
         view.read()
         assert view.reads == 1
-        # oracle access exists but is clearly segregated
-        assert view.oracle_labels().shape[0] == len(view)
+
+
+def _reference_batch_ids(labeled, unlabeled, plan, rng):
+    """Sample ids per batch, drawing the labeled stream one sample at a time
+    from a generator that reshuffles whenever a pass runs out."""
+    u_order = rng.permutation(len(unlabeled))
+
+    def cycler():
+        while True:
+            yield from rng.permutation(len(labeled))
+
+    stream = cycler()
+    out = []
+    for start in range(0, len(u_order), plan.n_unlabeled):
+        lab = [next(stream) for _ in range(plan.n_labeled)]
+        out.append(labeled.ids[lab].tolist()
+                   + unlabeled.ids[u_order[start:start + plan.n_unlabeled]].tolist())
+    return out
 
 
 class TestBatching:
@@ -166,6 +203,18 @@ class TestBatching:
         seen = np.concatenate([b.sample_ids[:b.n_labeled] for b in batches])
         assert len(seen) == 12 * len(batches)
         assert set(seen.tolist()) == set(splits.labeled.ids.tolist())
+
+    @pytest.mark.parametrize("n, fraction, plan, seed", [
+        (60, 0.1, (1, 1), 0), (120, 0.5, (3, 7), 1), (300, 0.9, (12, 36), 2),
+        (200, 0.3, (50, 5), 3), (300, 0.1, (12, 36), 4)])
+    def test_matches_one_at_a_time_reference(self, n, fraction, plan, seed):
+        splits = self.make(n, fraction)
+        plan = D.BatchPlan(*plan)
+        batches = D.epoch_batches(splits.labeled, splits.unlabeled, plan,
+                                  np.random.default_rng(seed))
+        expected = _reference_batch_ids(splits.labeled, splits.unlabeled, plan,
+                                        np.random.default_rng(seed))
+        assert [b.sample_ids.tolist() for b in batches] == expected
 
 
 class TestFileIO:
@@ -225,6 +274,15 @@ class TestFileIO:
         with pytest.raises(FormatError, match="out of range"):
             D.load_dataset(path)
 
+    def test_multi_hot_entry_not_binary(self, tmp_path):
+        path = tmp_path / "multi.bin"
+        D.save_dataset(D.gen_multiblob_images(4, 8, np.random.default_rng(1)), path)
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"offset {len(blob) - 1}"):
+            D.load_dataset(path)
+
     def test_csv_import(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1.5,2.5,0\n3.5,4.5,1\n0.5,0.5,1\n1.0,1.0,0\n")
@@ -232,3 +290,52 @@ class TestFileIO:
         assert ds.inputs.shape == (4, 2)
         assert ds.labels.tolist() == [0, 1, 1, 0]
         assert ds.num_classes == 2
+
+
+@pytest.fixture(scope="module")
+def clean_files(tmp_path_factory):
+    """A params file, a single-label and a multi-label dataset file, small
+    enough that headers and label blocks are a large share of their bytes."""
+    tmp = tmp_path_factory.mktemp("corrupt")
+    rng = np.random.default_rng(31)
+    arch = models.ArchSpec(input_shape=(2,), num_classes=2, hidden=(3,))
+    models.save_params(models.init_params(arch, rng), tmp / "params.bin")
+    D.save_dataset(D.gen_two_moons(6, 0.1, rng), tmp / "single.bin")
+    multi = D.Dataset(rng.normal(size=(3, 1, 2, 2)), rng.integers(0, 2, size=(3, 3)), 3)
+    D.save_dataset(multi, tmp / "multi.bin")
+    return {name: (tmp / f"{name}.bin").read_bytes()
+            for name in ("params", "single", "multi")}, tmp
+
+
+def _load_checked(name: str, path):
+    """Load a file and check that what loaded is well formed."""
+    if name == "params":
+        params = models.load_params(path)
+        assert all(v.dtype == np.float64 for v in params.values())
+        return
+    ds = D.load_dataset(path)
+    if ds.multilabel:
+        assert ds.labels.shape == (len(ds), ds.num_classes)
+        assert np.isin(ds.labels, (0, 1)).all()
+    else:
+        assert ((ds.labels >= 0) & (ds.labels < ds.num_classes)).all()
+
+
+class TestCorruptFiles:
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["params", "single", "multi"]), data=st.data())
+    def test_one_byte_change_or_truncation_loads_or_raises_format_error(
+            self, clean_files, name, data):
+        blobs, tmp = clean_files
+        blob = bytearray(blobs[name])
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[offset] = data.draw(st.integers(0, 255), label="byte")
+        path = tmp / f"mutated-{name}.bin"
+        path.write_bytes(bytes(blob))
+        try:
+            _load_checked(name, path)
+        except FormatError:
+            pass

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from relcon import cli
 from relcon import experiments as E
 from relcon.errors import ConfigError, ContractError
+from relcon.trainer import CurvePoint
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ACCEPTED_KEYS = sorted((section, key) for section, keys in E._KEYS.items() for key in keys)
@@ -121,6 +122,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"\[{section}\]"):
             E.parse_config_text(f"[{section}]\n{line}\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("[train]\ndropout_rate = 1.5\n", r"\[train\] dropout_rate"),
+        ("[train]\nconv_channels = 0, 8\n", r"\[train\] layer widths"),
+        ("[train]\nhidden = 16, 0\n", r"\[train\] layer widths"),
+        ("[dataset]\ngenerator = blobs\nsize = 1\n", "size"),
+        ("[dataset]\ngenerator = multiblobs\nsize = 7\n", "size"),
+        ("[dataset]\ngenerator = blobs\nclasses = 1\n", "classes"),
+        ("[dataset]\ngenerator = blobs\nimbalance_ratio = 0\n", "imbalance_ratio"),
+        ("[dataset]\ngenerator = moons\nn = 301\n", "'n'"),
+        ("[train]\ntotal_epochs = 2\nramp_epochs = 2\n[output]\ndump_relations = 0, 2\n",
+         r"dump_relations: epoch 2 is outside \[0, 2\)"),
+        ("[output]\ndump_relations = -1\n", "dump_relations: epoch -1"),
+    ])
+    def test_generator_and_model_bounds_checked_at_parse_time(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            E.parse_config_text(text)
+
+    def test_bounds_leave_other_generators_alone(self):
+        cfg = E.parse_config_text("[dataset]\ngenerator = moons\nsize = 1\nclasses = 1\n"
+                                  "imbalance_ratio = 0\n[train]\nconv_channels =\n")
+        assert cfg.dataset.size == 1 and cfg.model.conv_channels == ()
+
     @pytest.mark.parametrize("line", [
         "variant = mt, srcmt",
         "labeled_fraction = 0.2, 0",
@@ -224,7 +247,8 @@ class TestRunExperiment:
         assert len(summary[0].split(",")) == len(summary[1].split(","))
         json.loads((tmp_path / "report.json").read_text())
         for run_dir in (tmp_path / "runs").iterdir():
-            points = E.load_curves_csv(run_dir / "curves.csv")
+            table = np.loadtxt(run_dir / "curves.csv", delimiter=",", skiprows=1, ndmin=2)
+            points = [CurvePoint(int(row[0]), *(float(v) for v in row[1:])) for row in table]
             assert points and points[0].epoch == 0
             # round trip: re-serializing the parsed points reproduces the file
             assert E.curves_csv_text(points) == (run_dir / "curves.csv").read_text()
@@ -328,12 +352,11 @@ class TestRelationDumps:
         E.emit_reports(rep, tmp_path)
         dumps = sorted((tmp_path / "runs").rglob("relation_epoch1_student.csv"))
         assert dumps
-        from relcon.losses import read_matrix_csv
-        r = read_matrix_csv(dumps[0])
+        r = np.loadtxt(dumps[0], delimiter=",", ndmin=2)
         assert r.shape[0] == r.shape[1]
         norms = np.linalg.norm(r, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-6  # 9 significant digits in file
-        dist = read_matrix_csv(dumps[0].parent / "distance_epoch1.csv")
+        dist = np.loadtxt(dumps[0].parent / "distance_epoch1.csv", delimiter=",", ndmin=2)
         assert (dist >= 0).all() and (dist <= 1).all()
 
 
@@ -401,6 +424,28 @@ class TestCli:
         cfg_path.write_text(QUICK_CONFIG + "[sweep]\nvariant = mt, srcmt\n")
         assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert "config error: [sweep] variant = 'srcmt'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        "[train]\ndropout_rate = 1.5\n",
+        "[train]\nconv_channels = 0, 8\n",
+        "[dataset]\ngenerator = blobs\nsize = 1\n",
+    ])
+    def test_out_of_range_model_or_dataset_exits_with_config_error(
+            self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["x", "5", "0,2", "1,-1"])
+    def test_bad_dump_relations_flag_exits_with_config_error(self, tmp_path, capsys, flag):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(QUICK_CONFIG)   # total_epochs = 2
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--dump-relations", flag]
+        assert cli.main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_dump_relations_flag(self, tmp_path):

@@ -278,7 +278,7 @@ class TestMatrixCsv:
         r = losses.relation_matrix(T.constant(rng.normal(size=(5, 3)))).data
         path = tmp_path / "rel.csv"
         losses.write_matrix_csv(r, path)
-        back = losses.read_matrix_csv(path)
+        back = np.loadtxt(path, delimiter=",", ndmin=2)
         assert back.shape == (5, 5)
         assert np.abs(back - r).max() <= 1e-8  # 9 significant digits
 

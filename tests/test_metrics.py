@@ -69,26 +69,46 @@ class TestRocAuc:
         assert M.roc_auc(scores ** 3 + 10, labels) == base
 
 
+def _one_hot(pred, k):
+    """Probability rows whose argmax is ``pred``."""
+    probs = np.full((len(pred), k), 0.1 / (k - 1))
+    probs[np.arange(len(pred)), pred] = 0.9
+    return probs
+
+
 class TestConfusionCounts:
+    """One-vs-rest counts, seen through the metrics they feed."""
+
     def test_perfect_predictions(self):
-        counts = M.confusion_counts([0, 1, 2, 0], [0, 1, 2, 0], num_classes=3)
-        assert (counts[:, 1] == 0).all() and (counts[:, 3] == 0).all()
+        rep = M.classification_report(_one_hot([0, 1, 2, 0], 3), np.array([0, 1, 2, 0]))
+        assert rep.sensitivity == rep.specificity == rep.accuracy == rep.f1 == 1.0
 
     def test_all_positive_binary(self):
-        counts = M.confusion_counts([1, 1, 1, 1], [1, 1, 0, 0], num_classes=2)
-        tp, fp, tn, fn = counts[1]
-        assert tn == 0 and fp == 2 and tp == 2 and fn == 0
+        # class 1: TP 2, FP 2, TN 0, FN 0; class 0: TP 0, FP 0, TN 2, FN 2
+        rep = M.classification_report(_one_hot([1, 1, 1, 1], 2), np.array([1, 1, 0, 0]))
+        assert rep.sensitivity == (0 + 1) / 2
+        assert rep.specificity == (1 + 0) / 2
+        assert rep.f1 == (0 + 2 * 2 / (2 * 2 + 2)) / 2
+        assert rep.accuracy == 0.5
 
     def test_exhaustive_tally(self):
         pred = np.array([0, 1, 2, 2, 1, 0])
         labels = np.array([0, 2, 2, 1, 1, 1])
-        counts = M.confusion_counts(pred, labels, num_classes=3)
+        rep = M.classification_report(_one_hot(pred, 3), labels)
+        sens, spec, f1, correct = [], [], [], 0
         for k in range(3):
             tp = sum(1 for p, t in zip(pred, labels) if p == k and t == k)
             fp = sum(1 for p, t in zip(pred, labels) if p == k and t != k)
             tn = sum(1 for p, t in zip(pred, labels) if p != k and t != k)
             fn = sum(1 for p, t in zip(pred, labels) if p != k and t == k)
-            assert counts[k].tolist() == [tp, fp, tn, fn]
+            sens.append(tp / (tp + fn))
+            spec.append(tn / (tn + fp))
+            f1.append(2 * tp / (2 * tp + fp + fn))
+            correct += tp + tn
+        assert rep.sensitivity == pytest.approx(np.mean(sens), abs=1e-15)
+        assert rep.specificity == pytest.approx(np.mean(spec), abs=1e-15)
+        assert rep.f1 == pytest.approx(np.mean(f1), abs=1e-15)
+        assert rep.accuracy == correct / (len(pred) * 3)
 
 
 class TestClassificationReport:
@@ -141,8 +161,8 @@ class TestClassificationReport:
         keys = list(json.loads(text).keys())
         assert keys == ["auc", "sensitivity", "specificity", "accuracy", "f1",
                         "per_class_auc"]
-        back = M.MetricsReport.from_json(text)
-        assert back.auc == json.loads(text)["auc"]
+        back = M.MetricsReport(**json.loads(text))
+        assert back.to_json() == text
 
 
 class TestMultilabelAuc:

@@ -5,7 +5,7 @@ import pytest
 
 from relcon import losses, models
 from relcon import tensor as T
-from relcon.errors import DimensionError, FormatError, UnsupportedTapError
+from relcon.errors import ContractError, DimensionError, FormatError, UnsupportedTapError
 
 MLP = models.ArchSpec(input_shape=(4,), num_classes=3, hidden=(6, 5), dropout_rate=0.2)
 CONV = models.ArchSpec(input_shape=(1, 8, 8), num_classes=2, conv_channels=(3, 4),
@@ -123,10 +123,10 @@ class TestEndToEndGradients:
         def f(t):
             leafed = {k: (t if k == "dense0.w" else T.constant(v))
                       for k, v in params.items()}
-            h = T.relu(T.add_rows(T.matmul(T.constant(x), leafed["dense0.w"]),
+            h = T.relu(T.add_bias(T.matmul(T.constant(x), leafed["dense0.w"]),
                                   leafed["dense0.b"]))
-            h = T.relu(T.add_rows(T.matmul(h, leafed["dense1.w"]), leafed["dense1.b"]))
-            logits = T.add_rows(T.matmul(h, leafed["head.w"]), leafed["head.b"])
+            h = T.relu(T.add_bias(T.matmul(h, leafed["dense1.w"]), leafed["dense1.b"]))
+            logits = T.add_bias(T.matmul(h, leafed["head.w"]), leafed["head.b"])
             return losses.weighted_cross_entropy(logits, labels)
 
         assert T.finite_difference_check(f, params["dense0.w"]) <= 1e-4
@@ -141,10 +141,10 @@ class TestEndToEndGradients:
             leafed = {k: T.constant(v) for k, v in params.items()}
             h = t
             for i in range(2):
-                h = T.relu(T.add_channel_bias(T.conv2d(h, leafed[f"conv{i}.w"]),
-                                              leafed[f"conv{i}.b"]))
+                h = T.relu(T.add_bias(T.conv2d(h, leafed[f"conv{i}.w"]),
+                                      leafed[f"conv{i}.b"]))
             pooled = T.global_avg_pool(h)
-            logits = T.add_rows(T.matmul(pooled, leafed["head.w"]), leafed["head.b"])
+            logits = T.add_bias(T.matmul(pooled, leafed["head.w"]), leafed["head.b"])
             return losses.weighted_cross_entropy(logits, labels)
 
         assert T.finite_difference_check(f, rng.normal(size=(2, 1, 8, 8))) <= 1e-4
@@ -183,3 +183,22 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="UTF-8"):
             models.load_params(path)
+
+    def test_ndim_beyond_numpy_limit(self, tmp_path):
+        path = tmp_path / "params.bin"
+        models.save_params({"w": np.zeros(100)}, path)
+        blob = bytearray(path.read_bytes())
+        blob[15] = 65   # the ndim byte of the one-letter name's record
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="offset 15"):
+            models.load_params(path)
+
+
+class TestArchSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("dropout_rate", 1.5), ("hidden", (4, 0)), ("conv_channels", (0, 8))])
+    def test_model_bounds(self, field, value):
+        with pytest.raises(ContractError):
+            models.ArchSpec(input_shape=(1, 8, 8), num_classes=2, **{field: value})
+        with pytest.raises(ContractError):
+            models.ModelSection(**{field: value})

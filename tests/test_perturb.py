@@ -188,7 +188,8 @@ class TestDrawBounds:
 class TestPerturbPair:
     def test_zero_config_identity(self):
         x = np.random.default_rng(7).normal(size=(4, 1, 6, 6))
-        v1, v2 = P.perturb_pair(x, P.PerturbConfig.zero(), (0,))
+        identity = P.PerturbConfig(rotation_deg_max=0.0, translate_frac_max=0.0, flip_prob=0.0)
+        v1, v2 = P.perturb_pair(x, identity, (0,))
         assert np.array_equal(v1, x)
         assert np.array_equal(v2, x)
 

@@ -186,7 +186,7 @@ class TestOpGradientsSweep:
         bias = rng.normal(size=3)
         mix = rng.normal(size=(b, d))  # keeps the normalization case non-constant
         cases = {
-            "relu_chain": lambda t: T.mean_all(T.relu(T.add_rows(
+            "relu_chain": lambda t: T.mean_all(T.relu(T.add_bias(
                 T.matmul(t, T.constant(w)), T.constant(bias)))),
             "softmax_fro": lambda t: T.frobenius_sq(T.softmax(t)),
             "sigmoid_mean": lambda t: T.mean_all(T.sigmoid(t)),
@@ -207,6 +207,28 @@ class TestOpGradientsSweep:
             err = T.finite_difference_check(f, x)
             assert err <= 1e-4, f"{name} seed {seed}: {err}"
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4, 5)])
+    def test_add_bias_both_operands(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(size=shape)
+        b = rng.normal(size=shape[1])
+        weights = T.constant(rng.normal(size=shape))
+
+        def f_x(t):
+            return T.sum_all(T.mul(T.add_bias(t, T.constant(b)), weights))
+
+        def f_b(t):
+            return T.frobenius_sq(T.add_bias(T.constant(x), t))
+
+        assert T.finite_difference_check(f_x, x) <= 1e-4
+        assert T.finite_difference_check(f_b, b) <= 1e-4
+
+    @pytest.mark.parametrize("x_shape, b_shape", [
+        ((2, 3, 4), (3,)), ((2, 3), (4,)), ((2, 3, 4, 4), (4,)), ((2, 3), (1, 3))])
+    def test_add_bias_rejects_shapes(self, x_shape, b_shape):
+        with pytest.raises(DimensionError, match="add_bias"):
+            T.add_bias(T.constant(np.ones(x_shape)), T.constant(np.ones(b_shape)))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_conv_ops(self, seed):
         rng = np.random.default_rng(seed)
@@ -214,7 +236,7 @@ class TestOpGradientsSweep:
         bias = rng.normal(size=3)
 
         def f(t):
-            h = T.add_channel_bias(T.conv2d(t, T.constant(w)), T.constant(bias))
+            h = T.add_bias(T.conv2d(t, T.constant(w)), T.constant(bias))
             return T.frobenius_sq(T.global_avg_pool(T.square(h)))
 
         err = T.finite_difference_check(f, rng.normal(size=(2, 2, 5, 5)))

@@ -99,8 +99,7 @@ class TestCombineLosses:
             lam, beta = rng.uniform(0, 1), rng.uniform(0, 5)
             total, bd = TR.combine_losses(T.constant([s]), T.constant([c]),
                                           T.constant([r]), lam, max(beta, 1e-3))
-            expected = bd.supervised + bd.ramp_weight * (
-                bd.consistency + bd.relation_weight * bd.relation)
+            expected = bd.supervised + lam * (bd.consistency + max(beta, 1e-3) * bd.relation)
             assert abs(bd.total - expected) <= 1e-12
 
     def test_lambda_zero(self):
@@ -325,7 +324,9 @@ class TestTrainingContracts:
         arch = ArchSpec(input_shape=(1, 8, 8), num_classes=3, conv_channels=(4, 5),
                         dropout_rate=0.0)
         cfg = quick_config(variant="src_mt", alpha=0.0,
-                           perturb=PerturbConfig.zero(), total_epochs=2)
+                           perturb=PerturbConfig(rotation_deg_max=0.0, translate_frac_max=0.0,
+                                                 flip_prob=0.0),
+                           total_epochs=2)
         seen = []
 
         def probe(info):
