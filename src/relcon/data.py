@@ -379,6 +379,7 @@ def load_dataset(path) -> Dataset:
             raise FormatError(f"multi-hot entry {labels[bad[0]]} is not 0 or 1",
                               offset=off + int(bad[0]))
         labels = labels.reshape(n, k).astype(int)
+        off += n * k
     else:
         if len(blob) < off + 2 * n:
             raise FormatError("truncated label block", offset=len(blob))
@@ -387,6 +388,9 @@ def load_dataset(path) -> Dataset:
         if bad.size:
             raise FormatError(f"class index {labels[bad[0]]} out of range for {k} classes",
                               offset=off + 2 * int(bad[0]))
+        off += 2 * n
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} bytes after the label block", offset=off)
     return Dataset(np.ascontiguousarray(inputs), labels, k)
 
 

@@ -37,7 +37,7 @@ from .losses import write_matrix_csv
 from .metrics import MetricsReport
 from .models import ArchSpec, ModelSection
 from .perturb import PerturbConfig
-from .trainer import CurvePoint, TrainConfig, run_variant
+from .trainer import CurvePoint, TrainConfig, has_target_view, run_variant
 
 MAX_SWEEP_CELLS = 10_000
 
@@ -225,11 +225,18 @@ def _check_sweep(cfg: ExperimentConfig) -> None:
 
 
 def _check_dump_epochs(cfg: ExperimentConfig) -> None:
+    """Dump epochs must be run, by variants whose steps make teacher features."""
     total = cfg.train.total_epochs
     for epoch in cfg.output.dump_relations:
         if not 0 <= epoch < total:
             raise ConfigError(f"[output] dump_relations: epoch {epoch} is outside "
                               f"[0, {total}) for total_epochs = {total}")
+    variants = cfg.sweep.variant or (cfg.train.variant,)
+    blind = [v for v in variants if not has_target_view(v)]
+    if cfg.output.dump_relations and blind:
+        raise ConfigError(f"[output] dump_relations: {', '.join(blind)} "
+                          f"{'has' if len(blind) == 1 else 'have'} no target view "
+                          "and so no relation matrices to dump")
 
 
 def with_dump_relations(cfg: ExperimentConfig, raw: str) -> ExperimentConfig:

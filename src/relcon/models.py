@@ -234,4 +234,6 @@ def load_params(path) -> Params:
         except ValueError:
             raise FormatError(f"numpy cannot hold a tensor of shape {dims}",
                               offset=shape_off) from None
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} bytes after the last tensor record", offset=off)
     return params

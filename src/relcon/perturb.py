@@ -1,10 +1,17 @@
 """Stochastic input perturbations, drawn independently per sample and view.
 
 Each sample in a batch is perturbed separately, and the two views fed to
-the student and teacher come from disjoint random substreams. Substreams
-are keyed as (master key..., sample id, view id), so the draw a sample
-receives does not depend on where it lands in the batch or on what other
-samples are present.
+the student and teacher come from disjoint random streams. The draws are
+counter-based: one Philox4x64-10 call (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011) keyed on the master key makes the
+words of every sample and view, block ``b`` of sample ``i`` in view ``v``
+being the cipher of the counter (b, v, id_i, 0). A sample's draw is thus a
+function of its id alone, and does not depend on where it lands in the
+batch or on what other samples are present.
+
+Block 0 holds an image view's geometry: the rotation angle, the two shifts
+and the two flips. Blocks 1 onward hold the noise, one 64-bit word per pair
+of values through the Box-Muller transform.
 
 An image view is rotate -> translate -> flip with nearest-neighbor
 resampling and zero padding, composed into one source-pixel map: each
@@ -19,7 +26,6 @@ added last. Vector inputs only support the noise perturbation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,51 +55,117 @@ class PerturbConfig:
             raise ContractError("noise variance and clip must be >= 0")
 
 
-@dataclass
-class PerturbDraw:
-    """Sampled perturbation parameters for one sample and one view."""
+@dataclass(frozen=True)
+class Geometry:
+    """Rotate, translate and flip parameters of a batch, one entry per sample."""
 
-    angle_deg: float = 0.0
-    dx: int = 0
-    dy: int = 0
-    flip_h: bool = False
-    flip_v: bool = False
-    noise: np.ndarray | None = None
-
-
-def draw_perturbation(sample_shape: tuple[int, ...], cfg: PerturbConfig,
-                      rng: np.random.Generator) -> PerturbDraw:
-    """Sample one PerturbDraw; image inputs draw geometry, vectors only noise."""
-    draw = PerturbDraw()
-    if len(sample_shape) == 3:
-        _, h, w = sample_shape
-        draw.angle_deg = float(rng.uniform(-cfg.rotation_deg_max, cfg.rotation_deg_max))
-        max_px = int(round(cfg.translate_frac_max * w))
-        draw.dx = int(rng.integers(-max_px, max_px + 1))
-        draw.dy = int(rng.integers(-max_px, max_px + 1))
-        draw.flip_h = bool(rng.random() < cfg.flip_prob)
-        draw.flip_v = bool(rng.random() < cfg.flip_prob)
-    if cfg.noise_enabled:
-        n = rng.normal(0.0, np.sqrt(cfg.noise_variance), size=sample_shape)
-        draw.noise = np.clip(n, -cfg.noise_clip, cfg.noise_clip)
-    return draw
+    angle_deg: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    flip_h: np.ndarray
+    flip_v: np.ndarray
 
 
-def _source_pixels(draws: Sequence[PerturbDraw], h: int, w: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
+# ---------------------------------------------------------------------------
+# Philox4x64-10 over uint64 arrays
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_WORD = 2 ** 64 - 1
+# multipliers of counter words 0 and 2, and the per-round bumps of key words 0 and 1
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_ROUNDS = 10
+
+
+def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the 128-bit products m * x; the high
+    words are assembled from 32-bit halves, whose products fit in 64 bits."""
+    m_lo, m_hi = m & _MASK32, m >> _SHIFT32
+    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
+    lo_lo, lo_hi = x_lo * m_lo, x_lo * m_hi
+    hi_lo, hi_hi = x_hi * m_lo, x_hi * m_hi
+    carry = ((lo_lo >> _SHIFT32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)) >> _SHIFT32
+    return x * m, hi_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + carry
+
+
+def _philox(key: np.ndarray, counter: tuple) -> tuple[np.ndarray, ...]:
+    """The four output words of Philox4x64-10 for each counter.
+
+    ``key`` is two uint64 words and ``counter`` four broadcastable uint64
+    arrays, word 0 the least significant. numpy's ``Philox(key=k,
+    counter=c - 1).random_raw(4)`` returns the same block: numpy bumps its
+    counter before each block.
+    """
+    c0, c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    # both multiplies of a round in one pass: a = words (0, 2), b = words (1, 3)
+    a, b = np.stack([c0, c2]), np.stack([c1, c3])
+    column = (2,) + (1,) * c0.ndim
+    m = _PHILOX_M.reshape(column)
+    k0, k1 = int(key[0]), int(key[1])
+    with np.errstate(over="ignore"):
+        for r in range(_ROUNDS):
+            if r:
+                k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+            lo, hi = _mulhilo(m, a)
+            a = hi[::-1] ^ b ^ np.array([k0, k1], dtype=np.uint64).reshape(column)
+            b = lo[::-1]
+    return a[0], b[0], a[1], b[1]
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each word as a float in [0, 1)."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _shift(words: np.ndarray, max_px: int) -> np.ndarray:
+    """32-bit words mapped onto the integers [-max_px, max_px]."""
+    return ((words * np.uint64(2 * max_px + 1)) >> _SHIFT32).astype(np.int64) - max_px
+
+
+def _geometry(block: tuple[np.ndarray, ...], cfg: PerturbConfig, w: int) -> Geometry:
+    """Geometry from a block's four words, for images of width ``w``: the
+    angle from word 0, the shifts from the two halves of word 1, the flips
+    from words 2 and 3."""
+    w0, w1, w2, w3 = block
+    r = cfg.rotation_deg_max
+    max_px = int(round(cfg.translate_frac_max * w))
+    if 2 * max_px + 1 > 2 ** 32:
+        raise ContractError(f"perturb: a shift bound of {max_px} pixels is too large")
+    p = cfg.flip_prob
+    return Geometry(angle_deg=-r + 2.0 * r * _unit(w0),
+                    dx=_shift(w1 >> _SHIFT32, max_px), dy=_shift(w1 & _MASK32, max_px),
+                    flip_h=_unit(w2) < p, flip_v=_unit(w3) < p)
+
+
+def _gaussian(words: np.ndarray, size: int) -> np.ndarray:
+    """Box-Muller: every word's cosine value, then every word's sine value,
+    the first ``size`` along the last axis."""
+    u1 = ((words >> _SHIFT32).astype(np.float64) + 1.0) * 2.0 ** -32   # (0, 1]
+    u2 = (words & _MASK32).astype(np.float64) * 2.0 ** -32              # [0, 1)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :size]
+
+
+# ---------------------------------------------------------------------------
+# views
+
+
+def _source_pixels(g: Geometry, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat source pixel of every output pixel, [N, 1, H*W], and whether it
     lies in the image.
 
     Inverts rotate -> translate -> flip: undo the flips, then the shift, then
     the rotation about the center, rounding to the nearest pixel.
     """
-    def per_sample(name):
-        return np.array([getattr(d, name) for d in draws])[:, None, None]
+    def per_sample(values):
+        return np.asarray(values)[:, None, None]
 
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    r = np.where(per_sample("flip_v"), h - 1 - rows, rows) - per_sample("dy")
-    c = np.where(per_sample("flip_h"), w - 1 - cols, cols) - per_sample("dx")
-    theta = np.deg2rad(per_sample("angle_deg"))
+    r = np.where(per_sample(g.flip_v), h - 1 - rows, rows) - per_sample(g.dy)
+    c = np.where(per_sample(g.flip_h), w - 1 - cols, cols) - per_sample(g.dx)
+    theta = np.deg2rad(per_sample(g.angle_deg))
     cos, sin = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     dy, dx = r - cy, c - cx
@@ -101,26 +173,31 @@ def _source_pixels(draws: Sequence[PerturbDraw], h: int, w: int
     sc = np.rint(-sin * dy + cos * dx + cx).astype(int)
     inside = ((r >= 0) & (r < h) & (c >= 0) & (c < w)
               & (sr >= 0) & (sr < h) & (sc >= 0) & (sc < w))
-    shape = (len(draws), 1, h * w)
+    shape = (len(g.angle_deg), 1, h * w)
     return np.where(inside, sr * w + sc, 0).reshape(shape), inside.reshape(shape)
 
 
-def apply_draws(x: np.ndarray, draws: Sequence[PerturbDraw]) -> np.ndarray:
-    """Apply draw i to sample i of a batch: geometry as one gather, noise last."""
+def apply_draws(x: np.ndarray, geometry: Geometry | None,
+                noise: np.ndarray | None) -> np.ndarray:
+    """Apply each sample's geometry to an image batch as one gather, then
+    add ``noise`` (the batch's shape); None skips either part."""
     out = np.array(x, dtype=np.float64, order="C")
-    if len(draws) != out.shape[0]:
-        raise ContractError(f"apply_draws: {len(draws)} draws for {out.shape[0]} samples")
-    if out.ndim == 4:
+    if geometry is not None:
+        if out.ndim != 4:
+            raise DimensionError(f"geometry needs an image batch [N, C, H, W], got {out.shape}")
         n, c, h, w = out.shape
         if h < 2 or w < 2:
             raise DimensionError(f"image perturbation needs H, W >= 2, got {out.shape[1:]}")
-        src, inside = _source_pixels(draws, h, w)
+        if len(geometry.angle_deg) != n:
+            raise ContractError(f"apply_draws: {len(geometry.angle_deg)} draws for {n} samples")
+        src, inside = _source_pixels(geometry, h, w)
         gathered = np.take_along_axis(out.reshape(n, c, h * w), src, axis=2)
         # np.where, not a multiply by the mask: 0 * -x would write -0.0
         out = np.where(inside, gathered, 0.0).reshape(out.shape)
-    noise = [d.noise for d in draws]
-    if any(n is not None for n in noise):
-        out = out + np.stack(noise)   # a None among the arrays fails the stack
+    if noise is not None:
+        if noise.shape != out.shape:
+            raise ContractError(f"apply_draws: noise {noise.shape} for a batch {out.shape}")
+        out = out + noise
     return out
 
 
@@ -128,21 +205,41 @@ def perturb_pair(x: np.ndarray, cfg: PerturbConfig, master_key: tuple[int, ...],
                  sample_ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Two independently perturbed views of a batch.
 
-    Each sample i gets its draws from substream (master_key..., id_i, view),
-    view 0 for the student and view 1 for the teacher, so the two views are
-    independent and a sample's draw is stable under batch recomposition.
+    The Philox key comes from ``master_key``; sample i's words in view v are
+    counted on (block, v, id_i, 0), view 0 for the student and view 1 for
+    the teacher, so the two views are independent and a sample's draw is
+    stable under batch recomposition.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if sample_ids is None:
         sample_ids = np.arange(n)
     sample_ids = np.asarray(sample_ids)
-    if sample_ids.shape[0] != n:
+    if sample_ids.shape != (n,):
         raise ContractError("perturb_pair: need one sample id per row")
+    if n and sample_ids.min() < 0:
+        raise ContractError("perturb_pair: sample ids must be >= 0")
 
-    view_s, view_t = (
-        apply_draws(x, [draw_perturbation(x.shape[1:], cfg,
-                                          substream(*master_key, int(i), view_id))
-                        for i in sample_ids])
-        for view_id in (0, 1))
+    image = x.ndim == 4
+    size = int(np.prod(x.shape[1:]))
+    noise_words = -(-size // 2) if cfg.noise_enabled else 0   # a word makes two values
+    blocks = np.arange(0 if image else 1, 1 + -(-noise_words // 4), dtype=np.uint64)
+    if blocks.size == 0:
+        return x.copy(), x.copy()
+
+    key = np.random.SeedSequence([int(k) for k in master_key]).generate_state(2, np.uint64)
+    words = _philox(key, (blocks, np.arange(2, dtype=np.uint64)[:, None, None],
+                          sample_ids.astype(np.uint64)[:, None], 0))
+    # [view, sample, block, word]
+    words = np.stack(words, axis=-1)
+    geometry = [None, None]
+    if image:
+        geometry = [_geometry(tuple(words[v, :, 0].T), cfg, x.shape[3]) for v in (0, 1)]
+        words = words[:, :, 1:]
+    noise = [None, None]
+    if noise_words:
+        z = _gaussian(words.reshape(2, n, -1)[..., :noise_words], size)
+        z = np.clip(z * np.sqrt(cfg.noise_variance), -cfg.noise_clip, cfg.noise_clip)
+        noise = list(z.reshape((2,) + x.shape))
+    view_s, view_t = (apply_draws(x, geometry[v], noise[v]) for v in (0, 1))
     return view_s, view_t

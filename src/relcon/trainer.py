@@ -19,8 +19,10 @@ rule); the teacher, where one exists, changes only through the EMA
 update, applied once per optimization step. The unsupervised weight
 follows the Gaussian ramp exp(-5 (1 - t/T)^2) over the first T epochs,
 then stays at 1. Everything is deterministic given the config seed:
-every random draw comes from a substream keyed on
-(seed, purpose, epoch, batch, ...), so recomputation or extra reads
+initialization, batch order and dropout draw from substreams keyed on
+(seed, purpose, epoch, batch, ...), and input perturbations from a
+counter-based Philox stream keyed on (seed, purpose, epoch, batch) and
+counted on each sample's id and view, so recomputation or extra reads
 never shift unrelated draws.
 """
 
@@ -55,6 +57,15 @@ VARIANT_TABLE: dict[str, tuple[str | None, str | None]] = {
     "src_mt": ("ema", "relation"),
 }
 VARIANTS = tuple(VARIANT_TABLE)
+
+
+def has_target_view(variant: str) -> bool:
+    """Whether a step runs the target side on the perturbed view, so that
+    teacher features exist: temporal-ensemble targets need it only for an
+    extra term."""
+    target, extra = VARIANT_TABLE[variant]
+    return target is not None and (target != "te" or extra is not None)
+
 
 # substream purpose tags
 _TAG_INIT = 0
@@ -392,8 +403,7 @@ def _train_step(state: TrainerState, batch: Batch, epoch: int, batch_idx: int,
     feat_s_values = feat_t_values = None
 
     if target is not None:
-        # temporal-ensemble targets need the target view only for the extra term
-        if target != "te" or extra is not None:
+        if has_target_view(cfg.variant):
             teacher_rng = substream(cfg.seed, _TAG_DROPOUT, epoch, batch_idx, 1)
             out_t = _target_view_output(state, view_t, teacher_rng)
         if state.temporal is not None:

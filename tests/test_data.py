@@ -339,3 +339,29 @@ class TestCorruptFiles:
             _load_checked(name, path)
         except FormatError:
             pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["params", "single", "multi"]),
+           extra=st.binary(min_size=1, max_size=64))
+    def test_appended_bytes_raise_format_error_at_first_extra_byte(
+            self, clean_files, name, extra):
+        blobs, tmp = clean_files
+        path = tmp / f"appended-{name}.bin"
+        path.write_bytes(blobs[name] + extra)
+        with pytest.raises(FormatError) as info:
+            _load_checked(name, path)
+        assert info.value.offset == len(blobs[name])
+
+    @pytest.mark.parametrize("kind", ["params", "dataset"])
+    def test_garbage_after_a_small_file(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.bin"
+        if kind == "params":
+            models.save_params({"w": np.zeros(3)}, path)
+        else:
+            D.save_dataset(D.gen_two_moons(4, 0.1, np.random.default_rng(0)), path)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"garbage")
+        load = models.load_params if kind == "params" else D.load_dataset
+        with pytest.raises(FormatError, match=f"7 bytes after .* offset {size}\\)"):
+            load(path)

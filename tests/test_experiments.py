@@ -1,6 +1,7 @@
 """Experiment harness: config grammar, sweeps, reports, CLI."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +139,27 @@ class TestConfigParsing:
     def test_generator_and_model_bounds_checked_at_parse_time(self, text, match):
         with pytest.raises(ConfigError, match=match):
             E.parse_config_text(text)
+
+    @pytest.mark.parametrize("train_variant, sweep, blind", [
+        ("baseline", "", "baseline has"),
+        ("te", "", "te has"),
+        ("mt", "self_training", "self_training has"),
+        ("mt", "mt, te, src_te, baseline", "te, baseline have"),
+    ])
+    def test_dump_relations_needs_target_views(self, train_variant, sweep, blind):
+        text = QUICK_CONFIG.replace("variant = mt", f"variant = {train_variant}")
+        text = text.replace("dir = results", "dir = results\ndump_relations = 0")
+        if sweep:
+            text += f"[sweep]\nvariant = {sweep}\n"
+        with pytest.raises(ConfigError, match=rf"dump_relations: {blind} no target view"):
+            E.parse_config_text(text)
+        # without dumps the same config parses
+        E.parse_config_text(text.replace("dump_relations = 0", ""))
+
+    def test_dump_relations_with_target_views_parses(self):
+        text = QUICK_CONFIG.replace("dir = results", "dir = results\ndump_relations = 0, 1")
+        text += "[sweep]\nvariant = pi, mt, fc_mt, src_pi, src_te, src_mt\n"
+        assert E.parse_config_text(text).output.dump_relations == (0, 1)
 
     def test_bounds_leave_other_generators_alone(self):
         cfg = E.parse_config_text("[dataset]\ngenerator = moons\nsize = 1\nclasses = 1\n"
@@ -448,6 +470,18 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("variants", ["baseline", "mt, te"])
+    def test_dump_relations_flag_without_target_view_exits_with_config_error(
+            self, tmp_path, capsys, variants):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(QUICK_CONFIG + f"[sweep]\nvariant = {variants}\n")
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--dump-relations", "0"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "no target view" in err
+        assert variants.split(", ")[-1] in err
+        assert not (tmp_path / "out").exists()
+
     def test_dump_relations_flag(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(QUICK_CONFIG)
@@ -463,3 +497,40 @@ class TestCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.count("[PASS]") >= 7
         assert "[FAIL]" not in proc.stdout
+
+
+class TestDeterminism:
+    """Results do not depend on BLAS threads or on the number of workers."""
+
+    CONFIG = QUICK_CONFIG + """
+[perturb]
+noise_enabled = true
+noise_variance = 0.04
+noise_clip = 0.3
+
+[sweep]
+variant = mt, src_mt
+seeds = 0, 1
+"""
+
+    @staticmethod
+    def _outputs(out: Path) -> dict[str, bytes]:
+        files = [out / "results.csv", *sorted((out / "runs").rglob("curves.csv"))]
+        return {str(f.relative_to(out)): f.read_bytes() for f in files}
+
+    def test_blas_threads_and_workers_leave_outputs_unchanged(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(self.CONFIG)
+        runs = {}
+        for threads, parallel in (("1", "1"), ("2", "1"), ("1", "2")):
+            out = tmp_path / f"out-t{threads}-p{parallel}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "relcon.cli", "run", str(cfg_path),
+                                   "--out", str(out), "--parallel", parallel],
+                                  capture_output=True, text=True, timeout=600, env=env)
+            assert proc.returncode == 0, proc.stderr
+            runs[threads, parallel] = self._outputs(out)
+        first = runs["1", "1"]
+        assert len(first) == 5   # results.csv and four cells' curves
+        for outputs in runs.values():
+            assert outputs == first

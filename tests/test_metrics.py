@@ -59,6 +59,36 @@ class TestRocAuc:
             labels[0] = 1 - labels[0]
         assert M.roc_auc(scores, labels) + M.roc_auc(-scores, labels) == 1.0
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_nan_scores_and_other_labels_match_pairwise_oracle(self, seed):
+        # a NaN score neither wins nor ties; labels other than 0 and 1 take no part
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(4, 60))
+        scores = rng.integers(0, 4, size=n).astype(float)
+        scores[rng.random(n) < 0.25] = np.nan
+        labels = rng.integers(0, 3, size=n)
+        labels[:2] = (0, 1)
+        assert M.roc_auc(scores, labels) == pairwise_auc(scores, labels)
+
+    def test_large_tied_input_exact_in_bounded_memory(self):
+        import tracemalloc
+        rng = np.random.default_rng(400)
+        n = 6000
+        scores = rng.integers(0, 10, size=n).astype(float)
+        labels = (rng.random(n) < 1 / 3).astype(int)
+        # exact U from per-value counts
+        pos = np.bincount(scores[labels == 1].astype(int), minlength=10).tolist()
+        neg = np.bincount(scores[labels == 0].astype(int), minlength=10).tolist()
+        twice_u = sum(p * (2 * sum(neg[:v]) + neg[v]) for v, p in enumerate(pos))
+        tracemalloc.start()
+        try:
+            got = M.roc_auc(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (twice_u / 2) / (sum(pos) * sum(neg))
+        assert peak < 1_000_000   # a P x N pair matrix alone would take 64 MB
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(200)
         scores = rng.random(30)

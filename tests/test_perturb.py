@@ -1,4 +1,7 @@
-"""Perturbation draws, transforms, and keyed-substream independence."""
+"""Perturbation draws, transforms, and counter-keyed independence."""
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,20 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcon import perturb as P
-from relcon.errors import DimensionError
+from relcon.errors import ContractError, DimensionError
+
+_WORD = 2 ** 64
 
 
 def _noisy_cfg(variance=0.01, clip=0.2):
     return P.PerturbConfig(noise_enabled=True, noise_variance=variance, noise_clip=clip)
 
 
-def _perturbed(x, cfg, rng):
-    return _apply(x, P.draw_perturbation(x.shape, cfg, rng))
+def _geometry(angle_deg=0.0, dx=0, dy=0, flip_h=False, flip_v=False):
+    """Geometry of a one-sample batch."""
+    return P.Geometry(np.array([angle_deg]), np.array([dx]), np.array([dy]),
+                      np.array([flip_h]), np.array([flip_v]))
 
 
-def _apply(x, draw):
-    """One sample through the batched path."""
-    return P.apply_draws(x[None], [draw])[0]
+def _apply(img, **geometry):
+    """One image through the batched path."""
+    return P.apply_draws(img[None], _geometry(**geometry), None)[0]
+
+
+def _still(**fields):
+    """A config whose geometry is the identity unless ``fields`` say otherwise."""
+    return P.PerturbConfig(**{"rotation_deg_max": 0.0, "translate_frac_max": 0.0,
+                              "flip_prob": 0.0, **fields})
 
 
 # ---------------------------------------------------------------------------
@@ -72,117 +85,255 @@ def _reference_view(x, draw):
     return np.ascontiguousarray(out)
 
 
+def _numpy_counter_before(counter):
+    """numpy's four-word Philox counter one below ``counter`` (words, least
+    significant first): numpy bumps its counter before each block."""
+    value = (sum(int(c) << (64 * i) for i, c in enumerate(counter)) - 1) % _WORD ** 4
+    return np.array([(value >> (64 * i)) % _WORD for i in range(4)], dtype=np.uint64)
+
+
+def _reference_words(master_key, sid, view, first_block, n_blocks):
+    """Words of blocks first_block.. for one sample and view, from numpy's Philox."""
+    key = np.random.SeedSequence(list(master_key)).generate_state(2, np.uint64)
+    bitgen = np.random.Philox(key=key, counter=_numpy_counter_before((first_block, view, sid, 0)))
+    return [int(w) for w in bitgen.random_raw(4 * n_blocks)]
+
+
+def _reference_draw(shape, cfg, master_key, sid, view):
+    """One sample's draw: block 0 is geometry (images only), the rest noise."""
+    image = len(shape) == 3
+    size = math.prod(shape)
+    n_words = -(-size // 2) if cfg.noise_enabled else 0
+    first = 0 if image else 1
+    words = _reference_words(master_key, sid, view, first, 1 - first + -(-n_words // 4))
+    draw = SimpleNamespace(angle_deg=0.0, dx=0, dy=0, flip_h=False, flip_v=False, noise=None)
+    if image:
+        w0, w1, w2, w3 = words[:4]
+        words = words[4:]
+        r, m = cfg.rotation_deg_max, round(cfg.translate_frac_max * shape[2])
+
+        def unit(word):
+            return (word >> 11) * 2.0 ** -53
+
+        draw.angle_deg = -r + 2.0 * r * unit(w0)
+        draw.dx = ((w1 >> 32) * (2 * m + 1) >> 32) - m
+        draw.dy = ((w1 % 2 ** 32) * (2 * m + 1) >> 32) - m
+        draw.flip_h = unit(w2) < cfg.flip_prob
+        draw.flip_v = unit(w3) < cfg.flip_prob
+    if n_words:
+        # numpy's log, as in the library: math.log can differ in the last bit
+        w = np.array(words[:n_words], dtype=np.uint64)
+        u1 = ((w >> np.uint64(32)).astype(float) + 1.0) * 2.0 ** -32
+        u2 = (w % np.uint64(2 ** 32)).astype(float) * 2.0 ** -32
+        radius = np.sqrt(-2.0 * np.log(u1))
+        z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
+                            radius * np.sin(2.0 * np.pi * u2)])[:size].reshape(shape)
+        draw.noise = np.clip(z * np.sqrt(cfg.noise_variance), -cfg.noise_clip, cfg.noise_clip)
+    return draw
+
+
 def _reference_pair(x, cfg, master_key, sample_ids):
     views = []
     for view_id in (0, 1):
         out = np.empty_like(x)
         for i, sid in enumerate(sample_ids):
-            rng = P.substream(*master_key, int(sid), view_id)
-            out[i] = _reference_view(x[i], P.draw_perturbation(x.shape[1:], cfg, rng))
+            draw = _reference_draw(x.shape[1:], cfg, master_key, int(sid), view_id)
+            out[i] = _reference_view(x[i], draw)
         views.append(out)
     return views
+
+
+class TestPhilox:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, _WORD - 1), min_size=2, max_size=2),
+           st.lists(st.lists(st.integers(0, _WORD - 1) | st.sampled_from([0, 1, _WORD - 1]),
+                             min_size=4, max_size=4), min_size=1, max_size=5))
+    def test_matches_numpy_philox(self, key, counters):
+        key = np.array(key, dtype=np.uint64)
+        got = P._philox(key, tuple(np.array(c, dtype=np.uint64) for c in zip(*counters)))
+        for i, counter in enumerate(counters):
+            bitgen = np.random.Philox(key=key, counter=_numpy_counter_before(counter))
+            want = [int(w) for w in bitgen.random_raw(4)]
+            assert [int(words[i]) for words in got] == want
+
+    def test_counters_broadcast(self):
+        key = np.array([3, 4], dtype=np.uint64)
+        blocks = np.arange(3, dtype=np.uint64)
+        ids = np.array([[7], [9]], dtype=np.uint64)
+        got = P._philox(key, (blocks, 1, ids, 0))
+        assert got[0].shape == (2, 3)
+        one = P._philox(key, (np.uint64(2), 1, np.uint64(9), 0))
+        assert [int(w[1, 2]) for w in got] == [int(w) for w in one]
 
 
 class TestGaussianNoise:
     def test_clip_bound(self):
         cfg = _noisy_cfg(variance=4.0, clip=0.2)  # huge sd, clipping dominates
-        rng = np.random.default_rng(0)
-        x = np.zeros(100_000)
-        out = _perturbed(x, cfg, rng)
-        assert np.abs(out).max() <= 0.2
-        assert np.isclose(np.abs(out).max(), 0.2)
+        x = np.zeros((10, 10_000))
+        for view in P.perturb_pair(x, cfg, (0,)):
+            assert np.abs(view).max() <= 0.2
+            assert np.isclose(np.abs(view).max(), 0.2)
 
     def test_zero_variance_identity(self):
         cfg = _noisy_cfg(variance=0.0)
-        x = np.random.default_rng(1).normal(size=32)
-        out = _perturbed(x, cfg, np.random.default_rng(2))
-        assert np.array_equal(out, x)
+        x = np.random.default_rng(1).normal(size=(3, 32))
+        for view in P.perturb_pair(x, cfg, (2,)):
+            assert np.array_equal(view, x)
 
     def test_delta_always_within_clip(self):
         cfg = _noisy_cfg()
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(50, 50))
-        for _ in range(20):
-            out = _perturbed(x, cfg, rng)
-            # one ulp of slack: the bound is on the drawn noise, and the
-            # reconstructed delta (x + n) - x carries addition rounding
-            assert np.abs(out - x).max() <= 0.2 + 1e-12
+        x = np.random.default_rng(3).normal(size=(50, 50))
+        for key in range(20):
+            for view in P.perturb_pair(x, cfg, (key,)):
+                # one ulp of slack: the bound is on the drawn noise, and the
+                # reconstructed delta (x + n) - x carries addition rounding
+                assert np.abs(view - x).max() <= 0.2 + 1e-12
 
     def test_disabled_draws_no_noise(self):
-        x = np.random.default_rng(1).normal(size=3)
-        draw = P.draw_perturbation(x.shape, P.PerturbConfig(), np.random.default_rng(0))
-        assert draw.noise is None
-        assert np.array_equal(_apply(x, draw), x)
+        x = np.random.default_rng(1).normal(size=(2, 3))
+        assert all(np.array_equal(v, x) for v in P.perturb_pair(x, P.PerturbConfig(), (0,)))
+        img = np.random.default_rng(2).normal(size=(2, 1, 4, 4))
+        assert all(np.array_equal(v, img) for v in P.perturb_pair(img, _still(), (0,)))
+
+    @pytest.mark.parametrize("width", [1001, 144])
+    def test_noise_moments_within_five_standard_errors(self, width):
+        # an odd width keeps only the cosine half of the last word
+        x = np.zeros((400, width))
+        views = P.perturb_pair(x, _noisy_cfg(variance=1.0, clip=1e9), (5, 2, 0, 0))
+        z = np.stack(views)
+        half = -(-width // 2)
+        for part in (z, z[..., :half], z[..., half:]):   # both, cosine, sine values
+            n = part.size
+            assert abs(part.mean()) < 5 / math.sqrt(n)
+            assert abs(part.var() - 1.0) < 5 * math.sqrt(2 / n)
+        # the two views are independent
+        assert abs(np.corrcoef(z[0].ravel(), z[1].ravel())[0, 1]) < 5 / math.sqrt(z[0].size)
+
+    def test_noise_scaled_by_standard_deviation(self):
+        x = np.zeros((3, 9))
+        unit = P.perturb_pair(x, _noisy_cfg(variance=1.0, clip=1e9), (1,))
+        scaled = P.perturb_pair(x, _noisy_cfg(variance=0.25, clip=1e9), (1,))
+        assert all(np.array_equal(s, u * 0.5) for s, u in zip(scaled, unit))
 
 
 class TestTransforms:
     def test_identity_draw(self):
         img = np.arange(16.0).reshape(1, 4, 4)
-        out = _apply(img, P.PerturbDraw())
+        out = _apply(img)
         assert np.array_equal(out, img)
 
     def test_horizontal_flip(self):
         img = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = _apply(img, P.PerturbDraw(flip_h=True))
+        out = _apply(img, flip_h=True)
         assert np.array_equal(out[0], [[2.0, 1.0], [4.0, 3.0]])
 
     def test_vertical_flip(self):
         img = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = _apply(img, P.PerturbDraw(flip_v=True))
+        out = _apply(img, flip_v=True)
         assert np.array_equal(out[0], [[3.0, 4.0], [1.0, 2.0]])
 
     def test_translate_shift_oracle(self):
         # shifting right by one: first column becomes zero padding
         img = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = _apply(img, P.PerturbDraw(dx=1))
+        out = _apply(img, dx=1)
         assert np.array_equal(out[0], [[0.0, 1.0], [0.0, 3.0]])
 
     def test_translate_down(self):
         img = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = _apply(img, P.PerturbDraw(dy=1))
+        out = _apply(img, dy=1)
         assert np.array_equal(out[0], [[0.0, 0.0], [1.0, 2.0]])
 
     def test_rotation_90_degrees(self):
         img = np.zeros((1, 5, 5))
         img[0, 0, 2] = 1.0  # mark top-center
-        out = _apply(img, P.PerturbDraw(angle_deg=90.0))
+        out = _apply(img, angle_deg=90.0)
         assert out.sum() == 1.0
         assert out[0, 0, 2] == 0.0  # it moved
 
     def test_rotation_preserves_center(self):
         img = np.zeros((1, 5, 5))
         img[0, 2, 2] = 1.0
-        out = _apply(img, P.PerturbDraw(angle_deg=37.0))
+        out = _apply(img, angle_deg=37.0)
         assert out[0, 2, 2] == 1.0
 
     def test_tiny_image_rejected(self):
         with pytest.raises(DimensionError):
-            _perturbed(np.zeros((1, 1, 4)), P.PerturbConfig(), np.random.default_rng(0))
+            P.perturb_pair(np.zeros((1, 1, 1, 4)), P.PerturbConfig(), (0,))
 
     def test_zero_image_stays_zero(self):
-        rng = np.random.default_rng(4)
-        out = _perturbed(np.zeros((1, 6, 6)), P.PerturbConfig(), rng)
-        assert np.array_equal(out, np.zeros((1, 6, 6)))
+        for view in P.perturb_pair(np.zeros((3, 1, 6, 6)), P.PerturbConfig(), (4,)):
+            assert np.array_equal(view, np.zeros((3, 1, 6, 6)))
+
+
+def _pixel_moves(cfg, n, size, key):
+    """Where one lit pixel at the center lands in each view of n images."""
+    img = np.zeros((n, 1, size, size))
+    img[:, 0, size // 2, size // 2] = 1.0
+    out = []
+    for view in P.perturb_pair(img, cfg, key, sample_ids=np.arange(n)):
+        assert (view.reshape(n, -1).sum(axis=1) == 1.0).all()
+        at = view.reshape(n, -1).argmax(axis=1)
+        out.append(np.stack([at // size - size // 2, at % size - size // 2], axis=1))
+    return np.concatenate(out)
 
 
 class TestDrawBounds:
     def test_sampled_parameters_within_bounds(self):
         cfg = _noisy_cfg()
-        rng = np.random.default_rng(5)
-        for _ in range(2000):
-            draw = P.draw_perturbation((1, 50, 50), cfg, rng)
-            assert -10.0 <= draw.angle_deg <= 10.0
-            assert abs(draw.dx) <= round(0.02 * 50)
-            assert abs(draw.dy) <= round(0.02 * 50)
-            assert np.abs(draw.noise).max() <= 0.2
+        words = np.random.default_rng(5).integers(0, 2 ** 63, size=(4, 2000), dtype=np.uint64)
+        words = np.concatenate([words * np.uint64(2),
+                                np.zeros((4, 1), np.uint64),
+                                np.full((4, 1), _WORD - 1, np.uint64)], axis=1)
+        g = P._geometry(tuple(words), cfg, 50)
+        m = round(0.02 * 50)
+        assert (-10.0 <= g.angle_deg).all() and (g.angle_deg < 10.0).all()
+        assert (np.abs(g.dx) <= m).all() and (np.abs(g.dy) <= m).all()
+        # the smallest and largest words reach both ends
+        assert g.angle_deg[-2] == -10.0 and g.dx[-2] == -m and g.dy[-2] == -m
+        assert g.dx[-1] == m and g.dy[-1] == m and not g.flip_h[-1] and not g.flip_v[-1]
+        assert g.flip_h[-2] and g.flip_v[-2]
+        for view in P.perturb_pair(np.zeros((200, 1, 50, 50)), cfg, (5,)):
+            assert np.abs(view).max() <= 0.2
 
     def test_noise_bound_many_draws(self):
         cfg = _noisy_cfg()
-        rng = np.random.default_rng(6)
-        draws = rng.normal(0, 0.1, size=100_000)
-        out = _perturbed(np.zeros(100_000), cfg, rng)
-        assert np.abs(out).max() <= 0.2
-        assert draws.shape  # rng independence sanity
+        for view in P.perturb_pair(np.zeros((10, 10_000)), cfg, (6,)):
+            assert np.abs(view).max() <= 0.2
+
+    def test_every_shift_occurs_uniformly(self):
+        size, m = 11, 3
+        moves = _pixel_moves(_still(translate_frac_max=m / size), 500, size, (7,))
+        for axis in (0, 1):
+            values, counts = np.unique(moves[:, axis], return_counts=True)
+            assert values.tolist() == list(range(-m, m + 1))
+            p = 1 / (2 * m + 1)
+            se = math.sqrt(len(moves) * p * (1 - p))
+            assert (np.abs(counts - len(moves) * p) < 5 * se).all()
+
+    def test_flip_rate_near_p(self):
+        p, n = 0.3, 2000
+        img = np.zeros((n, 1, 4, 4))
+        img[:, 0, 0, 0] = 1.0
+        views = P.perturb_pair(img, _still(flip_prob=p), (8,), sample_ids=np.arange(n))
+        corner = np.concatenate([v[:, 0].reshape(n, -1).argmax(axis=1) for v in views])
+        flip_h, flip_v = corner % 4 == 3, corner // 4 == 3
+        for flips, rate in ((flip_h, p), (flip_v, p), (flip_h & flip_v, p * p)):
+            assert abs(flips.mean() - rate) < 5 * math.sqrt(rate * (1 - rate) / flips.size)
+
+    def test_angle_spans_range(self):
+        cfg = _still(rotation_deg_max=30.0)
+        words = P._philox(np.array([1, 2], np.uint64), (0, 0, np.arange(4000), 0))
+        angles = P._geometry(words, cfg, 12).angle_deg
+        assert angles.min() >= -30.0 and angles.max() < 30.0
+        assert abs(angles.mean()) < 5 * 60 / math.sqrt(12 * angles.size)
+
+    def test_negative_sample_id_rejected(self):
+        with pytest.raises(ContractError):
+            P.perturb_pair(np.zeros((2, 3)), _noisy_cfg(), (0,), sample_ids=np.array([0, -1]))
+
+    def test_shift_bound_past_32_bits_rejected(self):
+        with pytest.raises(ContractError):
+            P.perturb_pair(np.zeros((1, 1, 4, 4)), _still(translate_frac_max=2.0 ** 31 / 4), (0,))
 
 
 class TestPerturbPair:
@@ -232,9 +383,10 @@ class TestPerturbPair:
         x = np.random.default_rng(12).normal(size=(4, 7))
         v1, v2 = P.perturb_pair(x, cfg, (2,))
         assert np.abs(v1 - x).max() <= 0.2 + 1e-12
-        draw = P.draw_perturbation((7,), cfg, np.random.default_rng(0))
-        assert draw.angle_deg == 0 and draw.dx == 0 and draw.dy == 0
-        assert not (draw.flip_h or draw.flip_v)
+        # the geometry settings do not reach a vector's draw
+        wild = P.PerturbConfig(rotation_deg_max=90.0, translate_frac_max=0.5, flip_prob=1.0,
+                               noise_enabled=True)
+        assert all(np.array_equal(a, b) for a, b in zip(P.perturb_pair(x, wild, (2,)), (v1, v2)))
         # noise only: without it both views are the input
         plain = P.perturb_pair(x, P.PerturbConfig(rotation_deg_max=90.0, flip_prob=1.0), (2,))
         assert all(np.array_equal(v, x) for v in plain)
@@ -287,13 +439,13 @@ class TestLargeShift:
     @pytest.mark.parametrize("dx, dy", [(4, 0), (-4, 0), (0, 4), (0, -9), (7, 7)])
     def test_shift_at_least_image_size_gives_zeros(self, dx, dy):
         img = np.ones((2, 4, 4))
-        assert np.array_equal(_apply(img, P.PerturbDraw(dx=dx, dy=dy)), np.zeros((2, 4, 4)))
+        assert np.array_equal(_apply(img, dx=dx, dy=dy), np.zeros((2, 4, 4)))
 
     def test_non_square_vertical_shift_past_height(self):
         # the shift bound comes from W, so a wide image can shift past its height
         img = np.ones((1, 4, 8))
-        assert np.array_equal(_apply(img, P.PerturbDraw(dy=5)), np.zeros((1, 4, 8)))
-        assert _apply(img, P.PerturbDraw(dx=5)).sum() == 4 * 3
+        assert np.array_equal(_apply(img, dy=5), np.zeros((1, 4, 8)))
+        assert _apply(img, dx=5).sum() == 4 * 3
 
     def test_perturb_pair_with_shift_bound_past_image(self):
         x = np.ones((4, 1, 12, 12))
@@ -301,7 +453,7 @@ class TestLargeShift:
         views = P.perturb_pair(x, cfg, (0,))
         for view_id, view in enumerate(views):
             for i in range(4):
-                draw = P.draw_perturbation((1, 12, 12), cfg, P.substream(0, i, view_id))
+                draw = _reference_draw((1, 12, 12), cfg, (0,), i, view_id)
                 if abs(draw.dx) >= 12 or abs(draw.dy) >= 12:
                     assert not view[i].any()
                 else:

@@ -238,6 +238,10 @@ class TestConfigValidation:
         assert cfg.te_ensemble_rate == 0.99
         assert cfg.pseudo_label_threshold == 0.9
 
+    def test_target_views(self):
+        assert [v for v in TR.VARIANTS if TR.has_target_view(v)] == [
+            "pi", "mt", "fc_mt", "src_pi", "src_te", "src_mt"]
+
     def test_variant_table_covers_registry(self):
         assert set(TR.VARIANT_TABLE) == set(TR.VARIANTS)
         sources = {src for src, _ in TR.VARIANT_TABLE.values()}
@@ -372,9 +376,12 @@ class TestTrainingContracts:
 
     @pytest.mark.parametrize("variant", TR.VARIANTS)
     def test_every_variant_trains(self, variant):
-        res = TR.run_variant(quick_config(variant=variant), ARCH, small_splits())
+        res = TR.run_variant(quick_config(variant=variant), ARCH, small_splits(),
+                             relation_dump_epochs=(1,))
         assert len(res.curves) == 2
         assert np.isfinite([c.loss_supervised for c in res.curves]).all()
+        # relation matrices exist exactly where a step runs the target view
+        assert (1 in res.relation_dumps) == TR.has_target_view(variant)
 
     def test_pre_pool_tap_trains_and_differs(self):
         # pre-pool relations see spatial structure, so the optimized loss
