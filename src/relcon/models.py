@@ -10,6 +10,11 @@ Both place dropout immediately before the final pooling stage (for the MLP,
 immediately before the head) using inverted-dropout scaling, so evaluation
 needs no rescale. Feature taps expose the activations right before the
 global pooling (``pre_pool``, conv only) and right after it (``post_pool``).
+
+Image batches, files and conv weights are NCHW and ``[Cout, Cin, 3, 3]``.
+Inside the conv net the activations are channels-last (NHWC): ``forward``
+transposes its input once, and the maps stay [B, H, W, C] up to the pool,
+so ``pre_pool`` features come flattened in (y, x, c) order.
 """
 
 from __future__ import annotations
@@ -114,8 +119,14 @@ def _leaves(params: Params, trainable: bool) -> dict[str, T.Tensor]:
 
 
 def _dropout(node: T.Tensor, rate: float, rng: np.random.Generator) -> T.Tensor:
-    # inverted dropout: entries are 0 or 1/(1-rate), expectation matches eval
-    mask = (rng.random(node.shape) >= rate) / (1.0 - rate)
+    # inverted dropout: entries are 0 or 1/(1-rate), expectation matches eval.
+    # A conv map's mask is drawn in [B, C, H, W] order and moved channels-last,
+    # so each draw lands on the same (sample, channel, y, x) as for an NCHW map.
+    if node.ndim == 4:
+        b, h, w, c = node.shape
+        mask = (rng.random((b, c, h, w)) >= rate).transpose(0, 2, 3, 1) / (1.0 - rate)
+    else:
+        mask = (rng.random(node.shape) >= rate) / (1.0 - rate)
     return T.mul(node, T.constant(mask))
 
 
@@ -147,7 +158,7 @@ def forward(spec: ArchSpec, params: Params, x: np.ndarray, mode: str = "eval",
         post = h
         pre = None
     else:
-        h = T.constant(x)
+        h = T.constant(x.transpose(0, 2, 3, 1))   # NCHW batch -> NHWC net
         for i in range(len(spec.conv_channels)):
             h = T.relu(T.add_bias(T.conv2d(h, leaf[f"conv{i}.w"]), leaf[f"conv{i}.b"]))
         if use_dropout:
@@ -161,8 +172,9 @@ def forward(spec: ArchSpec, params: Params, x: np.ndarray, mode: str = "eval",
 def tap_features(out: ForwardOutput, where: str = "post_pool") -> T.Tensor:
     """Feature matrix [B, D] for relation losses.
 
-    ``post_pool`` is the pooled vector; ``pre_pool`` flattens the spatial
-    activation map and exists only for conv outputs.
+    ``post_pool`` is the pooled vector; ``pre_pool`` flattens the
+    channels-last activation map in (y, x, c) order and exists only for conv
+    outputs.
     """
     if where == "post_pool":
         return out.features_post_pool

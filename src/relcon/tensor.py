@@ -10,10 +10,17 @@ central differences.
 Storage is always row-major contiguous float64; scalars have shape (1,).
 There is no broadcasting: the few "row-wise" operations that the models
 and losses need are explicit ops with their own backward rules.
+
+The image ops (``conv2d``, ``global_avg_pool``, 4-D ``add_bias``) take
+channels-last [B, H, W, C] maps. ``conv2d`` builds its 3x3 patch matrix
+with one strided copy into module-level scratch arrays that grow to the
+largest batch seen and are kept for reuse; the tape never holds them, and
+the vjp rebuilds the patches it needs.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,16 +211,16 @@ def clip_min(a: Tensor, floor: float) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add vector b along axis 1 of a 2-D [B, D] or 4-D [B, C, H, W] tensor."""
-    if x.ndim not in (2, 4) or b.ndim != 1 or x.shape[1] != b.shape[0]:
+    """Add vector b along the last axis of a 2-D [B, D] or 4-D [B, H, W, C] tensor."""
+    if x.ndim not in (2, 4) or b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise DimensionError(f"add_bias: shapes {x.shape} and {b.shape} incompatible")
-    other_axes = (0,) + tuple(range(2, x.ndim))
 
     def vjp(g: Array):
-        return g, g.sum(axis=other_axes)
+        if g.ndim == 4:
+            return g, _sum_positions(g.reshape((1, -1) + g.shape[2:]))[0]
+        return g, g.sum(axis=0)
 
-    return _node("add_bias", x.data + b.data.reshape((1, -1) + (1,) * (x.ndim - 2)),
-                 (x, b), vjp)
+    return _node("add_bias", x.data + b.data, (x, b), vjp)
 
 
 def div_rows(x: Tensor, r: Tensor) -> Tensor:
@@ -354,54 +361,90 @@ def logsumexp_rows(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# image ops for the small conv net
+# image ops for the small conv net (channels-last: [B, H, W, C])
+
+# Grow-only scratch arrays, one per slot, reused by every conv2d call. A
+# slot's contents die before the call that filled it returns, so no node
+# and no vjp ever holds a view of one. Calls from two threads at once
+# would share them; relcon runs its parallel cells in processes.
+_scratch: dict[str, Array] = {}
+
+
+def _scratch_view(slot: str, shape: tuple[int, ...]) -> Array:
+    n = math.prod(shape)
+    buf = _scratch.get(slot)
+    if buf is None or buf.size < n:
+        buf = _scratch[slot] = np.empty(n)
+    return buf[:n].reshape(shape)
+
+
+def _patches(x: Array) -> Array:
+    """Zero-padded 3x3 patches of [B, H, W, C] as [B*H*W, 9*C], (ki, kj, c) order.
+
+    The result is a view of the ``cols`` scratch slot, valid until the next call.
+    """
+    b, h, wd, c = x.shape
+    xp = _scratch_view("pad", (b, h + 2, wd + 2, c))
+    xp[:, 0] = 0.0
+    xp[:, -1] = 0.0
+    xp[:, 1:-1, 0] = 0.0
+    xp[:, 1:-1, -1] = 0.0
+    xp[:, 1:-1, 1:-1] = x
+    cols = _scratch_view("cols", (b, h, wd, 3, 3, c))
+    np.copyto(cols, np.lib.stride_tricks.sliding_window_view(
+        xp, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(b * h * wd, 9 * c)
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
-    x: [B, Cin, H, W], w: [Cout, Cin, 3, 3].
+    x: [B, H, W, Cin] (channels last), w: [Cout, Cin, 3, 3]; out: [B, H, W, Cout].
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d: expected 4-D operands, got {x.shape} and {w.shape}")
     if w.shape[2] != 3 or w.shape[3] != 3:
         raise DimensionError(f"conv2d: kernel must be 3x3, got {w.shape}")
-    if x.shape[1] != w.shape[1]:
+    if x.shape[3] != w.shape[1]:
         raise DimensionError(f"conv2d: channel mismatch: {x.shape} vs {w.shape}")
-    b, cin, h, wd = x.shape
+    b, h, wd, cin = x.shape
     cout = w.shape[0]
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    pad_shape = xp.shape   # the vjp keeps the shape, not the padded buffer
-    # [B, Cin, H, W, 3, 3] patches -> [B*H*W, Cin*9]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * wd, cin * 9)
-    wmat = w.data.reshape(cout, cin * 9)
-    out = (cols @ wmat.T).reshape(b, h, wd, cout).transpose(0, 3, 1, 2)
+    out = _patches(x.data) @ w.data.transpose(0, 2, 3, 1).reshape(cout, 9 * cin).T
 
     def vjp(g: Array):
-        gcols = g.transpose(0, 2, 3, 1).reshape(b * h * wd, cout)
-        gw = (gcols.T @ cols).reshape(cout, cin, 3, 3)
-        gx_cols = (gcols @ wmat).reshape(b, h, wd, cin, 3, 3)
-        gxp = np.zeros(pad_shape)
-        for ki in range(3):
-            for kj in range(3):
-                gxp[:, :, ki:ki + h, kj:kj + wd] += gx_cols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(gxp[:, :, 1:-1, 1:-1]), gw
+        gmat = g.reshape(b * h * wd, cout)
+        gx = gw = None
+        if w.requires_grad:
+            gw = (gmat.T @ _patches(x.data)).reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
+        if x.requires_grad:
+            # the input gradient is g correlated with the flipped kernel
+            wflip = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * cout, cin)
+            gx = _patches(g.reshape(b, h, wd, cout)) @ wflip
+        return gx, gw
 
-    return _node("conv2d", np.ascontiguousarray(out), (x, w), vjp)
+    return _node("conv2d", out.reshape(b, h, wd, cout), (x, w), vjp)
+
+
+def _sum_positions(a: Array) -> Array:
+    """Sum a [N, H, W, C] map over (H, W), giving [N, C].
+
+    Rows of W*C values are summed first: a reduction whose inner loop is
+    only C long runs several times slower.
+    """
+    n, h, w, c = a.shape
+    return a.reshape(n, h, w * c).sum(axis=1).reshape(n, w, c).sum(axis=1)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial axes: [B, C, H, W] -> [B, C]."""
+    """Mean over the spatial axes: [B, H, W, C] -> [B, C]."""
     if x.ndim != 4:
         raise DimensionError(f"global_avg_pool: expected 4-D operand, got {x.shape}")
-    h, w = x.shape[2], x.shape[3]
+    h, w = x.shape[1], x.shape[2]
 
     def vjp(g: Array):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy(),)
+        return (np.broadcast_to(g[:, None, None, :] / (h * w), x.shape).copy(),)
 
-    return _node("global_avg_pool", x.data.mean(axis=(2, 3)), (x,), vjp)
+    return _node("global_avg_pool", _sum_positions(x.data) / (h * w), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,17 @@ class TestForward:
         ratio = ratio[ref.features_post_pool.data != 0]
         assert np.all(np.isclose(ratio, 0.0) | np.isclose(ratio, 1.25))
 
+    def test_conv_dropout_masks_keep_element_assignment(self):
+        """A conv mask is drawn as [B, C, H, W] and lands channels-last."""
+        params = models.init_params(CONV, np.random.default_rng(13))
+        x = np.random.default_rng(14).normal(size=(5, 1, 8, 8))
+        train = models.forward(CONV, params, x, mode="train", rng=np.random.default_rng(15))
+        ev = models.forward(CONV, params, x, mode="eval")
+        rate = CONV.dropout_rate
+        mask = (np.random.default_rng(15).random((5, 4, 8, 8)) >= rate) / (1.0 - rate)
+        assert np.array_equal(train.features_pre_pool.data,
+                              ev.features_pre_pool.data * mask.transpose(0, 2, 3, 1))
+
     def test_input_shape_check(self):
         params = models.init_params(MLP, np.random.default_rng(0))
         with pytest.raises(DimensionError):
@@ -81,7 +92,7 @@ class TestForward:
         params = models.init_params(CONV, np.random.default_rng(10))
         x = np.random.default_rng(11).normal(size=(3, 1, 8, 8))
         out = models.forward(CONV, params, x, mode="eval")
-        manual = out.features_pre_pool.data.mean(axis=(2, 3))
+        manual = out.features_pre_pool.data.mean(axis=(1, 2))
         assert np.abs(manual - out.features_post_pool.data).max() <= 1e-12
 
 
@@ -147,7 +158,7 @@ class TestEndToEndGradients:
             logits = T.add_bias(T.matmul(pooled, leafed["head.w"]), leafed["head.b"])
             return losses.weighted_cross_entropy(logits, labels)
 
-        assert T.finite_difference_check(f, rng.normal(size=(2, 1, 8, 8))) <= 1e-4
+        assert T.finite_difference_check(f, rng.normal(size=(2, 8, 8, 1))) <= 1e-4
 
 
 class TestSerialization:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcon import tensor as T
 from relcon.errors import ContractError, DimensionError, NumericError
@@ -211,7 +213,7 @@ class TestOpGradientsSweep:
     def test_add_bias_both_operands(self, shape):
         rng = np.random.default_rng(len(shape))
         x = rng.normal(size=shape)
-        b = rng.normal(size=shape[1])
+        b = rng.normal(size=shape[-1])
         weights = T.constant(rng.normal(size=shape))
 
         def f_x(t):
@@ -224,7 +226,7 @@ class TestOpGradientsSweep:
         assert T.finite_difference_check(f_b, b) <= 1e-4
 
     @pytest.mark.parametrize("x_shape, b_shape", [
-        ((2, 3, 4), (3,)), ((2, 3), (4,)), ((2, 3, 4, 4), (4,)), ((2, 3), (1, 3))])
+        ((2, 3, 4), (4,)), ((2, 3), (4,)), ((2, 4, 4, 3), (4,)), ((2, 3), (1, 3))])
     def test_add_bias_rejects_shapes(self, x_shape, b_shape):
         with pytest.raises(DimensionError, match="add_bias"):
             T.add_bias(T.constant(np.ones(x_shape)), T.constant(np.ones(b_shape)))
@@ -239,13 +241,95 @@ class TestOpGradientsSweep:
             h = T.add_bias(T.conv2d(t, T.constant(w)), T.constant(bias))
             return T.frobenius_sq(T.global_avg_pool(T.square(h)))
 
-        err = T.finite_difference_check(f, rng.normal(size=(2, 2, 5, 5)))
+        err = T.finite_difference_check(f, rng.normal(size=(2, 5, 5, 2)))
         assert err <= 1e-4
 
-        x_fixed = rng.normal(size=(2, 2, 5, 5))
+        x_fixed = rng.normal(size=(2, 5, 5, 2))
 
         def f_w(t):
             h = T.conv2d(T.constant(x_fixed), t)
             return T.mean_all(T.square(h))
 
         assert T.finite_difference_check(f_w, w) <= 1e-4
+
+
+# channels-last map shapes: B in 1..4, H and W in 1..6, Cin and Cout in 1..4
+_MAP_CASES = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
+                       st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
+def _direct_conv(x, w):
+    """Zero-padded 3x3 correlation straight from its definition, one output at a time."""
+    b, h, wd, _ = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    out = np.zeros((b, h, wd, w.shape[0]))
+    for n in range(b):
+        for y in range(h):
+            for xx in range(wd):
+                for o in range(w.shape[0]):
+                    out[n, y, xx, o] = (xp[n, y:y + 3, xx:xx + 3, :]
+                                        * w[o].transpose(1, 2, 0)).sum()
+    return out
+
+
+class TestConvNetOpProperties:
+    """conv2d, global_avg_pool and 4-D add_bias on random channels-last shapes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_MAP_CASES)
+    def test_conv2d_matches_direct_definition(self, case):
+        b, h, wd, cin, cout, seed = case
+        rng = np.random.default_rng(seed)
+        x, w = rng.normal(size=(b, h, wd, cin)), rng.normal(size=(cout, cin, 3, 3))
+        out = T.conv2d(T.constant(x), T.constant(w)).data
+        assert out.shape == (b, h, wd, cout)
+        assert np.abs(out - _direct_conv(x, w)).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_MAP_CASES)
+    def test_conv2d_both_operands(self, case):
+        b, h, wd, cin, cout, seed = case
+        rng = np.random.default_rng(seed)
+        x, w = rng.normal(size=(b, h, wd, cin)), rng.normal(size=(cout, cin, 3, 3))
+        weights = T.constant(rng.normal(size=(b, h, wd, cout)))
+        assert T.finite_difference_check(
+            lambda t: T.sum_all(T.mul(T.conv2d(t, T.constant(w)), weights)), x) <= 1e-4
+        assert T.finite_difference_check(
+            lambda t: T.sum_all(T.mul(T.conv2d(T.constant(x), t), weights)), w) <= 1e-4
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_MAP_CASES)
+    def test_pool_and_bias(self, case):
+        b, h, wd, c, _, seed = case
+        rng = np.random.default_rng(seed)
+        x, bias = rng.normal(size=(b, h, wd, c)), rng.normal(size=c)
+        pooled = T.constant(rng.normal(size=(b, c)))
+        weights = T.constant(rng.normal(size=(b, h, wd, c)))
+        assert T.finite_difference_check(
+            lambda t: T.sum_all(T.mul(T.global_avg_pool(t), pooled)), x) <= 1e-4
+        assert T.finite_difference_check(
+            lambda t: T.sum_all(T.mul(T.add_bias(t, T.constant(bias)), weights)), x) <= 1e-4
+        assert T.finite_difference_check(
+            lambda t: T.sum_all(T.mul(T.add_bias(T.constant(x), t), weights)), bias) <= 1e-4
+
+
+class TestConvScratch:
+    def test_tape_holds_no_scratch_view(self):
+        """conv2d reuses its patch scratch, so no live graph may read it later."""
+        rng = np.random.default_rng(0)
+        w0, w1 = rng.normal(size=(4, 2, 3, 3)), rng.normal(size=(3, 4, 3, 3))
+        xa, xb = rng.normal(size=(2, 3, 5, 6, 2))
+
+        def graph(x):
+            h = T.relu(T.conv2d(T.constant(x), T.parameter(w0, name="w0")))
+            return T.frobenius_sq(T.conv2d(h, T.parameter(w1, name="w1")))
+
+        alone = [T.backward(graph(x)) for x in (xa, xb)]
+        first = graph(xa)
+        # an eval pass at a larger batch grows and overwrites every scratch slot
+        T.relu(T.conv2d(T.constant(rng.normal(size=(9, 5, 6, 2))), T.constant(w0)))
+        second = graph(xb)
+        for root, want in zip((first, second), alone):
+            got = T.backward(root)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want)
