@@ -88,8 +88,7 @@ def _cmd_report(args) -> int:
         print(f"deltas vs {baseline}:")
         table = experiments.compare_table(rows, baseline)
         _print_table(table, ["variant", "beta", "labeled_fraction", "runs",
-                             "d_auc", "d_sensitivity", "d_specificity",
-                             "d_accuracy", "d_f1"])
+                             *(f"d_{m}" for m in experiments._METRIC_NAMES)])
     return 0
 
 

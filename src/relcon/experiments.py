@@ -163,10 +163,11 @@ _KEYS: dict[str, dict[str, tuple[type, type, bool]]] = {
 
 
 def _build(cls: type, values: dict[type, dict], **nested):
-    """Construct one section dataclass; a value its checks reject is a ConfigError."""
+    """Construct one section dataclass; a value its checks reject is a
+    ConfigError naming the section."""
     try:
         return cls(**values[cls], **nested)
-    except ContractError as exc:
+    except (ConfigError, ContractError) as exc:
         raise ConfigError(f"[{_SECTION_OF[cls]}] {exc}") from None
 
 

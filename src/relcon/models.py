@@ -6,6 +6,8 @@ Two architectures cover the two dataset kinds:
 * a tiny conv net for image data: two 3x3 stride-1 conv blocks with relu,
   global average pooling, then a linear head.
 
+The relu is ``tensor.clip_min`` at 0.
+
 Both place dropout immediately before the final pooling stage (for the MLP,
 immediately before the head) using inverted-dropout scaling, so evaluation
 needs no rescale. Feature taps expose the activations right before the
@@ -120,13 +122,11 @@ def _leaves(params: Params, trainable: bool) -> dict[str, T.Tensor]:
 
 def _dropout(node: T.Tensor, rate: float, rng: np.random.Generator) -> T.Tensor:
     # inverted dropout: entries are 0 or 1/(1-rate), expectation matches eval.
-    # A conv map's mask is drawn in [B, C, H, W] order and moved channels-last,
-    # so each draw lands on the same (sample, channel, y, x) as for an NCHW map.
-    if node.ndim == 4:
-        b, h, w, c = node.shape
-        mask = (rng.random((b, c, h, w)) >= rate).transpose(0, 2, 3, 1) / (1.0 - rate)
-    else:
-        mask = (rng.random(node.shape) >= rate) / (1.0 - rate)
+    # The mask is drawn channels-second ([B, C] or [B, C, H, W]) and moved
+    # channels-last, so each draw of a conv map lands on the same
+    # (sample, channel, y, x) as for an NCHW map.
+    b, *spatial, c = node.shape
+    mask = np.moveaxis(rng.random((b, c, *spatial)) >= rate, 1, -1) / (1.0 - rate)
     return T.mul(node, T.constant(mask))
 
 
@@ -150,21 +150,16 @@ def forward(spec: ArchSpec, params: Params, x: np.ndarray, mode: str = "eval",
 
     leaf = _leaves(params, trainable)
     if spec.kind == "mlp":
-        h = T.constant(x)
-        for i in range(len(spec.hidden)):
-            h = T.relu(T.add_bias(T.matmul(h, leaf[f"dense{i}.w"]), leaf[f"dense{i}.b"]))
-        if use_dropout:
-            h = _dropout(h, spec.dropout_rate, rng)
-        post = h
-        pre = None
+        h, layer, name, depth = T.constant(x), T.matmul, "dense", len(spec.hidden)
     else:
         h = T.constant(x.transpose(0, 2, 3, 1))   # NCHW batch -> NHWC net
-        for i in range(len(spec.conv_channels)):
-            h = T.relu(T.add_bias(T.conv2d(h, leaf[f"conv{i}.w"]), leaf[f"conv{i}.b"]))
-        if use_dropout:
-            h = _dropout(h, spec.dropout_rate, rng)
-        pre = h
-        post = T.global_avg_pool(h)
+        layer, name, depth = T.conv2d, "conv", len(spec.conv_channels)
+    for i in range(depth):
+        h = T.clip_min(T.add_bias(layer(h, leaf[f"{name}{i}.w"]), leaf[f"{name}{i}.b"]), 0.0)
+    if use_dropout:
+        h = _dropout(h, spec.dropout_rate, rng)
+    pre = h if spec.kind == "conv" else None
+    post = h if pre is None else T.global_avg_pool(h)
     logits = T.add_bias(T.matmul(post, leaf["head.w"]), leaf["head.b"])
     return ForwardOutput(logits=logits, features_post_pool=post, features_pre_pool=pre)
 

@@ -160,11 +160,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node("mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _node("relu", np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
 def square(a: Tensor) -> Tensor:
     return _node("square", a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
 
@@ -200,10 +195,12 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def clip_min(a: Tensor, floor: float) -> Tensor:
-    """max(x, floor) elementwise; subgradient 0 wherever the floor binds."""
+    """max(x, floor) elementwise, and the relu at floor 0; subgradient 0
+    wherever the floor binds. NaN maps to the floor, and a zero comes out +0.0."""
     floor = float(floor)
-    mask = a.data > floor
-    return _node("clip_min", np.where(mask, a.data, floor), (a,), lambda g: (g * mask,))
+    out = np.fmax(a.data, floor)
+    out += 0.0   # -0.0 -> +0.0: at floor >= 0, the bits of np.where(x > floor, x, floor)
+    return _node("clip_min", out, (a,), lambda g: (g * (a.data > floor),))
 
 
 # ---------------------------------------------------------------------------

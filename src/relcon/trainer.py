@@ -14,6 +14,13 @@ One trainer covers nine variants:
 ``VARIANT_TABLE`` is the one place that decides what a name means: its
 consistency target source and its optional extra feature term.
 
+A step runs the student on one perturbed view and, where the variant has a
+target view, the target side on the other with the parameters that
+``eval_model_params`` picks (the EMA teacher, else the student). The target
+side's probabilities are computed once: they are the consistency target
+(unless it comes from the temporal store) and what the step's probe sees.
+The same parameters make the validation and test predictions.
+
 The student is optimized with Adam (implemented here from its update
 rule); the teacher, where one exists, changes only through the EMA
 update, applied once per optimization step. The unsupervised weight
@@ -355,22 +362,15 @@ def predict_probs(arch: ArchSpec, params: Params, x: np.ndarray, multilabel: boo
 
 
 def eval_model_params(state: TrainerState) -> Params:
-    """Parameters used for prediction: the EMA teacher when one exists."""
+    """Parameters used for prediction and for the target side of a step: the
+    EMA teacher when one exists, else the student."""
     return state.teacher if state.teacher is not None else state.student
 
 
-def _target_view_output(state: TrainerState, view: np.ndarray,
-                        dropout_rng: np.random.Generator) -> models.ForwardOutput:
-    """Forward pass producing the consistency-target side (never trainable).
-
-    Uses the EMA teacher's weights when the variant has one, otherwise a
-    second stochastic pass through the student's weights.
-    """
-    cfg = state.config
-    params = state.teacher if state.teacher is not None else state.student
-    mode = "train" if cfg.teacher_dropout else "eval"
-    return models.forward(state.arch, params, view, mode=mode,
-                          rng=dropout_rng, trainable=False)
+def _evaluate(state: TrainerState, ds: Dataset) -> metrics.MetricsReport:
+    """Metrics of the prediction parameters on a labeled split."""
+    probs = predict_probs(state.arch, eval_model_params(state), ds.inputs, state.multilabel)
+    return metrics.classification_report(probs, ds.labels)
 
 
 def _train_step(state: TrainerState, batch: Batch, epoch: int, batch_idx: int,
@@ -399,17 +399,19 @@ def _train_step(state: TrainerState, batch: Batch, epoch: int, batch_idx: int,
     consistency = None
     relation = None
     measured = 0.0
-    out_t = None
+    out_t = probs_t = None
     feat_s_values = feat_t_values = None
 
+    if has_target_view(cfg.variant):
+        # the target side: the EMA teacher, or a second stochastic student pass
+        out_t = models.forward(
+            state.arch, eval_model_params(state), view_t,
+            mode="train" if cfg.teacher_dropout else "eval",
+            rng=substream(cfg.seed, _TAG_DROPOUT, epoch, batch_idx, 1), trainable=False)
+        probs_t = _probs_node(out_t.logits, state.multilabel).data
+
     if target is not None:
-        if has_target_view(cfg.variant):
-            teacher_rng = substream(cfg.seed, _TAG_DROPOUT, epoch, batch_idx, 1)
-            out_t = _target_view_output(state, view_t, teacher_rng)
-        if state.temporal is not None:
-            targets = state.temporal.targets(ids, probs_s.data)
-        else:
-            targets = _probs_node(out_t.logits, state.multilabel).data
+        targets = probs_t if state.temporal is None else state.temporal.targets(ids, probs_s.data)
         consistency = losses.consistency_mse(probs_s, targets)
 
         if out_t is not None and b >= 2:
@@ -438,8 +440,7 @@ def _train_step(state: TrainerState, batch: Batch, epoch: int, batch_idx: int,
         probe({
             "epoch": epoch, "batch": batch_idx, "breakdown": breakdown,
             "probs_student": probs_s.data,
-            "probs_teacher": None if out_t is None else _probs_node(
-                out_t.logits, state.multilabel).data,
+            "probs_teacher": probs_t,
             "features_student": feat_s_values,
             "features_teacher": feat_t_values,
         })
@@ -491,14 +492,13 @@ def train_epoch(state: TrainerState, splits: Splits,
     lr = learning_rate_for_epoch(cfg, epoch)
     batch_rng = substream(cfg.seed, _TAG_BATCH, epoch)
 
+    pool = splits.labeled
     if cfg.variant == "self_training":
         if epoch > 0:
             _pseudo_label_pass(state, splits.unlabeled)
         pool = _self_training_pool(state, splits)
-        batches = epoch_batches(pool, None, cfg.plan, batch_rng)
-    else:
-        # a plan without unlabeled slots never reads the unlabeled split
-        batches = epoch_batches(splits.labeled, splits.unlabeled, cfg.plan, batch_rng)
+    # a plan without unlabeled slots never reads the unlabeled split
+    batches = epoch_batches(pool, splits.unlabeled, cfg.plan, batch_rng)
 
     sums = np.zeros(3)
     for batch_idx, batch in enumerate(batches):
@@ -509,9 +509,7 @@ def train_epoch(state: TrainerState, splits: Splits,
     if state.temporal is not None:
         state.temporal.apply_epoch_update()
 
-    probs_val = predict_probs(state.arch, eval_model_params(state),
-                              splits.validation.inputs, state.multilabel)
-    val_report = metrics.classification_report(probs_val, splits.validation.labels)
+    val_report = _evaluate(state, splits.validation)
     state.epoch += 1
     return CurvePoint(
         epoch=epoch, loss_supervised=float(means[0]), loss_consistency=float(means[1]),
@@ -542,8 +540,5 @@ def run_variant(cfg: TrainConfig, arch: ArchSpec, splits: Splits,
             }
 
     curves = [train_epoch(state, splits, dump_probe) for _ in range(cfg.total_epochs)]
-    probs_test = predict_probs(state.arch, eval_model_params(state),
-                               splits.test.inputs, state.multilabel)
-    report = metrics.classification_report(probs_test, splits.test.labels)
-    return RunResult(test_metrics=report, curves=curves, state=state,
+    return RunResult(test_metrics=_evaluate(state, splits.test), curves=curves, state=state,
                      relation_dumps=dumps)

@@ -118,6 +118,9 @@ class TestConfigParsing:
         ("perturb", "flip_prob = 2"),
         ("perturb", "noise_variance = -1"),
         ("split", "labeled_fraction = 0"),
+        ("train", "alpha = 2"),
+        ("train", "feature_tap = side"),
+        ("dataset", "size = 3"),
     ])
     def test_rejected_value_is_config_error_naming_section(self, section, line):
         with pytest.raises(ConfigError, match=rf"\[{section}\]"):

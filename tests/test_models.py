@@ -134,9 +134,9 @@ class TestEndToEndGradients:
         def f(t):
             leafed = {k: (t if k == "dense0.w" else T.constant(v))
                       for k, v in params.items()}
-            h = T.relu(T.add_bias(T.matmul(T.constant(x), leafed["dense0.w"]),
-                                  leafed["dense0.b"]))
-            h = T.relu(T.add_bias(T.matmul(h, leafed["dense1.w"]), leafed["dense1.b"]))
+            h = T.clip_min(T.add_bias(T.matmul(T.constant(x), leafed["dense0.w"]),
+                                      leafed["dense0.b"]), 0.0)
+            h = T.clip_min(T.add_bias(T.matmul(h, leafed["dense1.w"]), leafed["dense1.b"]), 0.0)
             logits = T.add_bias(T.matmul(h, leafed["head.w"]), leafed["head.b"])
             return losses.weighted_cross_entropy(logits, labels)
 
@@ -152,8 +152,8 @@ class TestEndToEndGradients:
             leafed = {k: T.constant(v) for k, v in params.items()}
             h = t
             for i in range(2):
-                h = T.relu(T.add_bias(T.conv2d(h, leafed[f"conv{i}.w"]),
-                                      leafed[f"conv{i}.b"]))
+                h = T.clip_min(T.add_bias(T.conv2d(h, leafed[f"conv{i}.w"]),
+                                          leafed[f"conv{i}.b"]), 0.0)
             pooled = T.global_avg_pool(h)
             logits = T.add_bias(T.matmul(pooled, leafed["head.w"]), leafed["head.b"])
             return losses.weighted_cross_entropy(logits, labels)

@@ -66,7 +66,7 @@ class TestSoftmax:
 
 class TestElementwise:
     def test_relu(self):
-        assert np.array_equal(T.relu(T.constant([-1.0, 2.0])).data, [0.0, 2.0])
+        assert np.array_equal(T.clip_min(T.constant([-1.0, 2.0]), 0.0).data, [0.0, 2.0])
 
     def test_square(self):
         assert np.array_equal(T.square(T.constant([3.0])).data, [9.0])
@@ -145,7 +145,7 @@ class TestBackward:
 
     def test_constant_only_nodes_keep_no_tape(self):
         c = T.constant(np.ones((2, 2)))
-        const_out = T.relu(T.matmul(c, c))
+        const_out = T.clip_min(T.matmul(c, c), 0.0)
         assert const_out.inputs == () and not const_out.requires_grad
         x = T.parameter(np.ones((2, 2)), name="x")
         mixed = T.matmul(x, c)
@@ -153,7 +153,7 @@ class TestBackward:
 
     def test_backward_keeps_leaf_grads_only(self):
         x = T.parameter([[1.0, -2.0], [3.0, 4.0]], name="x")
-        hidden = T.relu(T.matmul(x, T.transpose(x)))
+        hidden = T.clip_min(T.matmul(x, T.transpose(x)), 0.0)
         grads = T.backward(T.sum_all(hidden))
         assert hidden.grad is None
         assert x.grad is grads["x"]
@@ -188,8 +188,8 @@ class TestOpGradientsSweep:
         bias = rng.normal(size=3)
         mix = rng.normal(size=(b, d))  # keeps the normalization case non-constant
         cases = {
-            "relu_chain": lambda t: T.mean_all(T.relu(T.add_bias(
-                T.matmul(t, T.constant(w)), T.constant(bias)))),
+            "relu_chain": lambda t: T.mean_all(T.clip_min(T.add_bias(
+                T.matmul(t, T.constant(w)), T.constant(bias)), 0.0)),
             "softmax_fro": lambda t: T.frobenius_sq(T.softmax(t)),
             "sigmoid_mean": lambda t: T.mean_all(T.sigmoid(t)),
             "softplus": lambda t: T.mean_all(T.softplus(t)),
@@ -321,15 +321,144 @@ class TestConvScratch:
         xa, xb = rng.normal(size=(2, 3, 5, 6, 2))
 
         def graph(x):
-            h = T.relu(T.conv2d(T.constant(x), T.parameter(w0, name="w0")))
+            h = T.clip_min(T.conv2d(T.constant(x), T.parameter(w0, name="w0")), 0.0)
             return T.frobenius_sq(T.conv2d(h, T.parameter(w1, name="w1")))
 
         alone = [T.backward(graph(x)) for x in (xa, xb)]
         first = graph(xa)
         # an eval pass at a larger batch grows and overwrites every scratch slot
-        T.relu(T.conv2d(T.constant(rng.normal(size=(9, 5, 6, 2))), T.constant(w0)))
+        T.clip_min(T.conv2d(T.constant(rng.normal(size=(9, 5, 6, 2))), T.constant(w0)), 0.0)
         second = graph(xb)
         for root, want in zip((first, second), alone):
             got = T.backward(root)
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+class TestClipMinForward:
+    @pytest.mark.parametrize("floor", [0.0, 1e-8])
+    def test_same_bits_as_where(self, floor):
+        rng = np.random.default_rng(3)
+        specials = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, floor, -floor,
+                    np.nextafter(floor, 1.0), np.nextafter(floor, -1.0), 5e-324, -5e-324]
+        x = np.concatenate([specials, rng.normal(size=500), rng.normal(scale=1e-8, size=500)])
+        # numpy takes other loops for short arrays and tails, and there
+        # np.fmax(-0.0, 0.0) can give -0.0
+        for values in [x, *([v] for v in specials), specials]:
+            values = np.array(values)
+            got = T.clip_min(T.constant(values), floor).data
+            want = np.where(values > floor, values, floor)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), values
+
+
+def _tensor_ops() -> list[str]:
+    """tensor's public ops, found as the benchmark's tracer finds them."""
+    not_ops = {"constant", "parameter", "backward", "finite_difference_check"}
+    return sorted(name for name, fn in vars(T).items()
+                  if callable(fn) and not isinstance(fn, type)
+                  and not name.startswith("_") and name not in not_ops
+                  and getattr(fn, "__module__", None) == T.__name__)
+
+
+class _Weigher:
+    """node -> a scalar that weighs each entry by a random factor, drawn once
+    per output shape so that every call computes the same function."""
+
+    def __init__(self, rng):
+        self.rng, self.weights = rng, {}
+
+    def __call__(self, node):
+        if node.shape not in self.weights:
+            self.weights[node.shape] = T.constant(self.rng.normal(size=node.shape))
+        return T.sum_all(T.mul(node, self.weights[node.shape]))
+
+
+def _away_from(x, floor, gap=0.05):
+    """``x`` moved at least ``gap`` off ``floor``, so central differences skip the kink."""
+    return x + gap * np.where(x >= floor, 1.0, -1.0)
+
+
+def _binary_cases(op, rng, x_shape, y_shape):
+    """Both operands of ``op`` as the leaf in turn, the other held fixed."""
+    w, x, y = _Weigher(rng), rng.normal(size=x_shape), rng.normal(size=y_shape)
+    return [(lambda t: w(op(t, T.constant(y))), x), (lambda t: w(op(T.constant(x), t)), y)]
+
+
+def _unary_case(op, rng, x):
+    w = _Weigher(rng)
+    return [(lambda t: w(op(t)), x)]
+
+
+def _clip_cases(rng, b, d):
+    w = _Weigher(rng)
+    return [(lambda t, f=floor: w(T.clip_min(t, f)), _away_from(rng.normal(size=(b, d)), floor))
+            for floor in (0.0, 1e-8, float(rng.normal()))]
+
+
+def _div_rows_cases(rng, b, d):
+    w, x, r = _Weigher(rng), rng.normal(size=(b, d)), 0.5 + np.abs(rng.normal(size=b))
+    return [(lambda t: w(T.div_rows(t, T.constant(r))), x),
+            (lambda t: w(T.div_rows(T.constant(x), t)), r)]
+
+
+def _slice_case(rng, b, d):
+    lo = int(rng.integers(0, b))
+    hi = int(rng.integers(lo + 1, b + 1))
+    return _unary_case(lambda t: T.slice_rows(t, lo, hi), rng, rng.normal(size=(b, d)))
+
+
+# op -> (rng, b, d) -> [(scalar function of a leaf, point)], one entry per
+# differentiable operand; conv2d and global_avg_pool are in _MAP_OPS
+_GRADIENT_CASES = {
+    "matmul": lambda rng, b, d: (_binary_cases(T.matmul, rng, (b, d), (d, 3))
+                                 + _binary_cases(T.matmul, rng, (3, b), (b, d))),
+    "transpose": lambda rng, b, d: _unary_case(T.transpose, rng, rng.normal(size=(b, d))),
+    "reshape": lambda rng, b, d: (
+        _unary_case(lambda t: T.reshape(t, (d, b)), rng, rng.normal(size=(b, d)))
+        + _unary_case(lambda t: T.reshape(t, (b * d,)), rng, rng.normal(size=(b, d)))),
+    "add": lambda rng, b, d: _binary_cases(T.add, rng, (b, d), (b, d)),
+    "sub": lambda rng, b, d: _binary_cases(T.sub, rng, (b, d), (b, d)),
+    "mul": lambda rng, b, d: (_binary_cases(T.mul, rng, (b, d), (b, d))
+                              + _unary_case(lambda t: T.mul(t, t), rng, rng.normal(size=(b, d)))),
+    "square": lambda rng, b, d: _unary_case(T.square, rng, rng.normal(size=(b, d))),
+    "scale": lambda rng, b, d: _unary_case(
+        lambda t, c=float(rng.normal()): T.scale(t, c), rng, rng.normal(size=(b, d))),
+    "softplus": lambda rng, b, d: _unary_case(T.softplus, rng, rng.normal(scale=3, size=(b, d))),
+    "sigmoid": lambda rng, b, d: _unary_case(T.sigmoid, rng, rng.normal(scale=3, size=(b, d))),
+    "clip_min": _clip_cases,
+    "add_bias": lambda rng, b, d: _binary_cases(T.add_bias, rng, (b, d), (d,)),
+    "div_rows": _div_rows_cases,
+    "slice_rows": _slice_case,
+    "take_per_row": lambda rng, b, d: _unary_case(
+        lambda t, cols=rng.integers(0, d, size=b): T.take_per_row(t, cols), rng,
+        rng.normal(size=(b, d))),
+    "sum_all": lambda rng, b, d: [(T.sum_all, rng.normal(size=(b, d)))],
+    "mean_all": lambda rng, b, d: [(T.mean_all, rng.normal(size=(b, d)))],
+    "frobenius_sq": lambda rng, b, d: [(T.frobenius_sq, rng.normal(size=(b, d)))],
+    "row_l2_norm": lambda rng, b, d: _unary_case(T.row_l2_norm, rng, rng.normal(size=(b, d))),
+    "softmax": lambda rng, b, d: _unary_case(
+        T.softmax, rng, rng.normal(scale=2, size=(b, max(d, 2)))),
+    "logsumexp_rows": lambda rng, b, d: _unary_case(
+        T.logsumexp_rows, rng, rng.normal(scale=2, size=(b, d))),
+}
+# covered on random channels-last maps by TestConvNetOpProperties
+_MAP_OPS = {"conv2d", "global_avg_pool"}
+
+
+class TestOpGradientProperties:
+    """Each tape op's vjp against central differences on random shapes."""
+
+    def test_every_op_has_a_gradient_case(self):
+        missing = set(_tensor_ops()) - set(_GRADIENT_CASES) - _MAP_OPS
+        assert not missing, f"tape ops without a gradient case: {sorted(missing)}"
+        assert set(_GRADIENT_CASES) | _MAP_OPS <= set(_tensor_ops())
+
+    @pytest.mark.parametrize("op", sorted(_GRADIENT_CASES))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1)))
+    def test_vjp_matches_finite_differences(self, op, case):
+        b, d, seed = case
+        rng = np.random.default_rng(seed)
+        for i, (f, x) in enumerate(_GRADIENT_CASES[op](rng, b, d)):
+            err = T.finite_difference_check(f, x)
+            assert err <= 1e-4, f"{op} operand {i}: {err}"
