@@ -47,11 +47,12 @@ class PerturbConfig:
     noise_clip: float = 0.2
 
     def __post_init__(self):
-        if self.rotation_deg_max < 0 or self.translate_frac_max < 0:
+        # the range checks are written so that NaN fails them
+        if not (self.rotation_deg_max >= 0 and self.translate_frac_max >= 0):
             raise ContractError("perturbation magnitudes must be >= 0")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ContractError("flip_prob must be in [0, 1]")
-        if self.noise_variance < 0 or self.noise_clip < 0:
+        if not (self.noise_variance >= 0 and self.noise_clip >= 0):
             raise ContractError("noise variance and clip must be >= 0")
 
 

@@ -13,14 +13,26 @@ and losses need are explicit ops with their own backward rules.
 
 The image ops (``conv2d``, ``global_avg_pool``, 4-D ``add_bias``) take
 channels-last [B, H, W, C] maps. ``conv2d`` builds its 3x3 patch matrix
-with one strided copy into module-level scratch arrays that grow to the
-largest batch seen and are kept for reuse; the tape never holds them, and
-the vjp rebuilds the patches it needs.
+with one strided copy into scratch arrays that belong to the calling
+thread, grow to the largest block seen and are kept for reuse; the tape
+never holds them, and the vjp rebuilds the patches it needs. The forward
+product runs over blocks of whole images whose patch matrix holds at most
+``CONV_BLOCK_VALUES`` values, so that a block's patches are still in the
+core's cache when its GEMM reads them, and each block's GEMM writes its
+rows straight into the output. The rows of a product this large depend
+only on their own patch rows, and the blocks are kept large (see
+``conv2d``), so the blocks do not change the bits. The vjp's two GEMMs
+run over the whole batch: the weight gradient sums over it, and blocks
+would change the rounding of that sum; the input-gradient product takes
+its weight in another layout, for which OpenBLAS picks a small-matrix
+kernel with other rounding under 10^6 multiply-adds, so blocks of it would
+change bits when a layer has few input channels.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -360,18 +372,25 @@ def logsumexp_rows(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # image ops for the small conv net (channels-last: [B, H, W, C])
 
-# Grow-only scratch arrays, one per slot, reused by every conv2d call. A
-# slot's contents die before the call that filled it returns, so no node
-# and no vjp ever holds a view of one. Calls from two threads at once
-# would share them; relcon runs its parallel cells in processes.
-_scratch: dict[str, Array] = {}
+# Largest patch matrix one conv2d forward block builds, in float64 values:
+# 2 MiB, the per-core L2 cache of the 2-core Xeon it was tuned on. A batch
+# is cut into blocks of whole images; an image whose patches alone exceed
+# the bound is a block of its own.
+CONV_BLOCK_VALUES = 2 ** 18
+
+# Grow-only scratch arrays, one per slot and thread, reused by every conv2d
+# call on that thread. A slot's contents die before the call that filled
+# it returns, so no node and no vjp ever holds a view of one; a thread's
+# slots are freed when the thread ends.
+_scratch = threading.local()
 
 
 def _scratch_view(slot: str, shape: tuple[int, ...]) -> Array:
     n = math.prod(shape)
-    buf = _scratch.get(slot)
+    buf = getattr(_scratch, slot, None)
     if buf is None or buf.size < n:
-        buf = _scratch[slot] = np.empty(n)
+        buf = np.empty(n)
+        setattr(_scratch, slot, buf)
     return buf[:n].reshape(shape)
 
 
@@ -406,7 +425,17 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(f"conv2d: channel mismatch: {x.shape} vs {w.shape}")
     b, h, wd, cin = x.shape
     cout = w.shape[0]
-    out = _patches(x.data) @ w.data.transpose(0, 2, 3, 1).reshape(cout, 9 * cin).T
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, 9 * cin).T
+    out = np.empty((b, h, wd, cout))
+    # the fewest blocks under the bound, with sizes within one image of each
+    # other: a ragged block of one or two images could fall to the BLAS's
+    # small-matrix kernel, whose rounding differs (one 12x12 image against
+    # 8 kernels is a 144 x 54 by 54 x 8 product)
+    blocks = -(-b // max(1, CONV_BLOCK_VALUES // (h * wd * 9 * cin)))
+    stop = 0
+    for k in range(blocks):
+        start, stop = stop, stop + b // blocks + (k < b % blocks)
+        np.matmul(_patches(x.data[start:stop]), wmat, out=out[start:stop].reshape(-1, cout))
 
     def vjp(g: Array):
         gmat = g.reshape(b * h * wd, cout)
@@ -419,7 +448,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
             gx = _patches(g.reshape(b, h, wd, cout)) @ wflip
         return gx, gw
 
-    return _node("conv2d", out.reshape(b, h, wd, cout), (x, w), vjp)
+    return _node("conv2d", out, (x, w), vjp)
 
 
 def _sum_positions(a: Array) -> Array:

@@ -117,9 +117,13 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section, line", [
         ("perturb", "flip_prob = 2"),
         ("perturb", "noise_variance = -1"),
+        ("perturb", "noise_variance = nan"),
         ("split", "labeled_fraction = 0"),
         ("train", "alpha = 2"),
         ("train", "feature_tap = side"),
+        ("train", "beta = nan"),
+        ("train", "learning_rate = nan"),
+        ("train", "relation_eps = -1"),
         ("dataset", "size = 3"),
     ])
     def test_rejected_value_is_config_error_naming_section(self, section, line):

@@ -1,5 +1,8 @@
 """Tape engine: op semantics, backward rules, finite-difference validation."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,6 +336,56 @@ class TestConvScratch:
             got = T.backward(root)
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def _conv_outputs(x, w, g):
+    """conv2d forward, input gradient and weight gradient under the adjoint g."""
+    xs, ws = T.parameter(x, name="x"), T.parameter(w, name="w")
+    out = T.conv2d(xs, ws)
+    grads = T.backward(T.sum_all(T.mul(out, T.constant(g))))   # conv adjoint: exactly g
+    return out.data, grads["x"], grads["w"]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestConvBlocks:
+    def test_blocks_match_one_whole_batch_product(self, monkeypatch):
+        """A forward cut into three blocks has the bits of one whole-batch
+        GEMM. Cut with a one-image tail instead, that tail would take the
+        BLAS's small-matrix kernel and round differently."""
+        h, wd, cin, cout = 12, 12, 6, 8
+        b = 2 * (T.CONV_BLOCK_VALUES // (h * wd * 9 * cin)) + 1
+        rng = np.random.default_rng(0)
+        x, w = rng.normal(size=(b, h, wd, cin)), rng.normal(size=(cout, cin, 3, 3))
+        blocked = T.conv2d(T.constant(x), T.constant(w)).data
+        monkeypatch.setattr(T, "CONV_BLOCK_VALUES", 2 ** 62)
+        assert _same_bits(blocked, T.conv2d(T.constant(x), T.constant(w)).data)
+
+    def test_threads_keep_their_own_scratch(self):
+        """Threads running conv2d forward and backward at once, on different
+        inputs, get the bits of a sequential run."""
+        rng = np.random.default_rng(1)
+        w = rng.normal(size=(8, 6, 3, 3))
+        cases = [(rng.normal(size=(40, 12, 12, 6)), rng.normal(size=(40, 12, 12, 8)))
+                 for _ in range(4)]
+        want = [_conv_outputs(x, w, g) for x, g in cases]
+
+        def mismatches(k):
+            x, g = cases[k]
+            return sum(not all(map(_same_bits, _conv_outputs(x, w, g), want[k]))
+                       for _ in range(20))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                futures = [pool.submit(mismatches, k) for k in range(len(cases))]
+                counts = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [0] * len(cases)
 
 
 class TestClipMinForward:

@@ -2,11 +2,14 @@
 
 import hashlib
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from relcon import data as D
+from relcon import models
 from relcon import trainer as TR
 from relcon.errors import ConfigError, ContractError
 from relcon.models import ArchSpec
@@ -412,3 +415,33 @@ class TestTrainingContracts:
         rows, labels = res.state.pseudo
         assert labels.shape == (rows.size, 3)
         assert set(np.unique(labels)) <= {0, 1}
+
+
+class TestPredictProbsThreads:
+    def test_same_bits_for_any_core_count(self, monkeypatch):
+        """Multi-chunk predictions have the same bits on one core (all chunks
+        on the caller) and on two (the caller and one pool thread), and no
+        thread outlives the call."""
+        x = small_splits(n=240).unlabeled.read()
+        params = models.init_params(ARCH, np.random.default_rng(3))
+        forward, threads_used = models.forward, []
+        both_threads = threading.Barrier(2)
+
+        def traced_forward(*args, **kwargs):
+            if threading.get_ident() not in threads_used and cores == 2:
+                both_threads.wait(timeout=10)   # each thread's first chunk waits for the other's
+            threads_used.append(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(models, "forward", traced_forward)
+        runs = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            threads_used.clear()
+            alive = set(threading.enumerate())
+            runs[cores] = TR.predict_probs(ARCH, params, x, False, chunk=37)
+            assert set(threading.enumerate()) <= alive
+            assert len(threads_used) == -(-len(x) // 37) >= 4
+            assert threading.get_ident() in threads_used
+            assert len(set(threads_used)) == cores
+        assert runs[1].view(np.int64).tobytes() == runs[2].view(np.int64).tobytes()
