@@ -14,7 +14,8 @@ rng = np.random.default_rng(0)
 # --- a scalar expression with two named parameters -------------------------
 a = T.parameter(rng.normal(size=(3, 4)), name="a")
 b = T.parameter(rng.normal(size=(4, 2)), name="b")
-loss = T.mean_all(T.square(T.matmul(a, b)))
+ab = T.matmul(a, b)
+loss = T.mean_all(T.mul(ab, ab))
 print("loss value:", loss.item())
 
 grads = T.backward(loss)
@@ -25,7 +26,8 @@ b_fixed = b.data
 
 
 def f(t):
-    return T.mean_all(T.square(T.matmul(t, T.constant(b_fixed))))
+    tb = T.matmul(t, T.constant(b_fixed))
+    return T.mean_all(T.mul(tb, tb))
 
 
 err = T.finite_difference_check(f, a.data)

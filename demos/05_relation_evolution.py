@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from relcon import data as D
-from relcon import losses
+from relcon import experiments as E
 from relcon.models import ArchSpec
 from relcon.perturb import PerturbConfig
 from relcon.trainer import TrainConfig, run_variant
@@ -33,9 +33,9 @@ outdir.mkdir(exist_ok=True)
 print("epoch | mean |R_student - R_teacher| entry | max distance entry")
 for epoch in dump_epochs:
     dump = result.relation_dumps[epoch]
-    losses.write_matrix_csv(dump["student"], outdir / f"relation_epoch{epoch}_student.csv")
-    losses.write_matrix_csv(dump["teacher"], outdir / f"relation_epoch{epoch}_teacher.csv")
-    losses.write_matrix_csv(dump["distance"], outdir / f"distance_epoch{epoch}.csv")
+    E.write_matrix_csv(dump["student"], outdir / f"relation_epoch{epoch}_student.csv")
+    E.write_matrix_csv(dump["teacher"], outdir / f"relation_epoch{epoch}_teacher.csv")
+    E.write_matrix_csv(dump["distance"], outdir / f"distance_epoch{epoch}.csv")
     gap = np.abs(dump["student"] - dump["teacher"])
     print(f"  {epoch:3d} | {gap.mean():29.5f} | {dump['distance'].max():.3f}")
 

@@ -144,6 +144,15 @@ def gen_two_moons(n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
     return Dataset(pts, labels, 2)
 
 
+def _largest_remainder(exact: np.ndarray, total: int) -> np.ndarray:
+    """Integer counts summing to ``total`` from exact shares that sum to it:
+    floor each share, then add one to the ``total - sum`` shares with the
+    largest remainders."""
+    counts = np.floor(exact).astype(int)
+    counts[np.argsort(-(exact - counts))[: total - counts.sum()]] += 1
+    return counts
+
+
 def geometric_class_counts(n: int, num_classes: int, ratio: float) -> np.ndarray:
     """Partition n into class counts following a geometric ratio.
 
@@ -153,11 +162,7 @@ def geometric_class_counts(n: int, num_classes: int, ratio: float) -> np.ndarray
     if ratio <= 0:
         raise ContractError("imbalance ratio must be > 0")
     weights = np.array([ratio ** (num_classes - 1 - k) for k in range(num_classes)])
-    exact = n * weights / weights.sum()
-    counts = np.floor(exact).astype(int)
-    remainder = exact - counts
-    for idx in np.argsort(-remainder)[: n - counts.sum()]:
-        counts[idx] += 1
+    counts = _largest_remainder(n * weights / weights.sum(), n)
     if (counts < 1).any():
         raise ContractError("class count rounded to zero; increase n or reduce ratio")
     return counts
@@ -243,10 +248,7 @@ def _stratified_pick(labels: np.ndarray, pool: np.ndarray, quota: int) -> np.nda
     """Pick ``quota`` indices from ``pool`` preserving class ratios (+/- 1)."""
     classes = np.unique(labels[pool])
     exact = np.array([quota * (labels[pool] == c).sum() / len(pool) for c in classes])
-    take = np.floor(exact).astype(int)
-    remainder = exact - take
-    for idx in np.argsort(-remainder)[: quota - take.sum()]:
-        take[idx] += 1
+    take = _largest_remainder(exact, quota)
     picked = []
     for c, t in zip(classes, take):
         members = pool[labels[pool] == c]

@@ -13,8 +13,9 @@ defaults (EMA decay 0.99, relation weight 1.0, 12+36 batches, dropout 0.2).
 Running an experiment iterates the sweep cross-product times the seed
 list, trains each cell, evaluates on the held-out test split, and writes
 ``results.csv``, ``summary.csv``, per-run ``curves.csv``/``metrics.json``,
-and optional relation/distance matrix dumps. Outputs are deterministic
-functions of the config, so re-running reproduces them byte for byte.
+and optional relation/distance matrix dumps, every CSV through one writer
+(``_csv_text``). Outputs are deterministic functions of the config, so
+re-running reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from . import data as D
 from .errors import ConfigError, ContractError
-from .losses import write_matrix_csv
 from .metrics import MetricsReport
 from .models import ArchSpec, ModelSection
 from .perturb import PerturbConfig
@@ -57,16 +57,21 @@ class DatasetSection:
     seed: int = 7
 
     def __post_init__(self):
-        """Reject at parse time what the chosen generator would reject."""
+        """Reject at parse time what the chosen generator would reject or
+        silently misread; the float checks are written so that NaN fails them."""
         if self.generator not in _GENERATORS:
             raise ConfigError(f"generator must be one of {_GENERATORS}", key="generator")
         if self.generator in ("file", "csv") and not self.path:
             raise ConfigError("file/csv generator needs a path", key="path")
+        if self.generator in ("moons", "blobs", "multiblobs") and not self.noise_sd >= 0:
+            raise ConfigError("noise_sd must be >= 0", key="noise_sd")
         if self.generator in ("blobs", "multiblobs") and self.size < 8:
             raise ConfigError("image generators need size >= 8", key="size")
         if self.generator == "blobs" and self.classes < 2:
             raise ConfigError("blobs need at least 2 classes", key="classes")
-        if self.generator == "blobs" and self.imbalance_ratio <= 0:
+        if self.generator == "blobs" and not self.center_jitter >= 0:
+            raise ConfigError("center_jitter must be >= 0", key="center_jitter")
+        if self.generator == "blobs" and not self.imbalance_ratio > 0:
             raise ConfigError("imbalance_ratio must be > 0", key="imbalance_ratio")
         if self.generator == "moons" and self.n % 2 != 0:
             raise ConfigError("moons need an even n", key="n")
@@ -370,13 +375,16 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport
 # report emission
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 # the scalar fields of MetricsReport, in declaration order
 _METRIC_NAMES = tuple(name for name, hint in typing.get_type_hints(MetricsReport).items()
                       if hint is float)
+
+
+def _csv_text(rows) -> str:
+    """Every CSV of a run directory: one line per row, floats to 9 significant
+    digits (NaN as ``nan``), any other value as ``str``, no quoting."""
+    return "".join(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in rows)
 
 
 def _row_metrics(row: ResultRow) -> list[float]:
@@ -386,43 +394,38 @@ def _row_metrics(row: ResultRow) -> list[float]:
 
 
 def results_csv_text(report: ExperimentReport) -> str:
-    lines = ["variant,beta,labeled_fraction,seed," + ",".join(_METRIC_NAMES)]
-    for row in report.rows:
-        values = ",".join(_fmt(v) for v in _row_metrics(row))
-        lines.append(f"{row.variant},{_fmt(row.beta)},{_fmt(row.labeled_fraction)},"
-                     f"{row.seed},{values}")
-    return "\n".join(lines) + "\n"
+    header = ["variant", "beta", "labeled_fraction", "seed", *_METRIC_NAMES]
+    return _csv_text([header] + [[row.variant, row.beta, row.labeled_fraction, row.seed,
+                                  *_row_metrics(row)] for row in report.rows])
 
 
 def summary_csv_text(report: ExperimentReport) -> str:
-    header = ["variant", "beta", "labeled_fraction", "runs"]
-    for name in _METRIC_NAMES:
-        header += [f"{name}_mean", f"{name}_sd"]
-    lines = [",".join(header)]
+    lines = [["variant", "beta", "labeled_fraction", "runs",
+              *(f"{name}_{stat}" for name in _METRIC_NAMES for stat in ("mean", "sd"))]]
     groups: dict[tuple, list[ResultRow]] = {}
     for row in report.rows:
         groups.setdefault((row.variant, row.beta, row.labeled_fraction), []).append(row)
     for key, rows in groups.items():
         values = np.array([_row_metrics(r) for r in rows if r.metrics is not None])
-        cols = [key[0], _fmt(key[1]), _fmt(key[2]), str(len(values))]
+        cols = [*key, len(values)]
         for j in range(len(_METRIC_NAMES)):
             if len(values) == 0:
-                cols += ["nan", "nan"]
+                cols += [float("nan"), float("nan")]
             else:
-                mean = float(values[:, j].mean())
                 sd = float(values[:, j].std(ddof=1)) if len(values) > 1 else 0.0
-                cols += [_fmt(mean), _fmt(sd)]
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+                cols += [float(values[:, j].mean()), sd]
+        lines.append(cols)
+    return _csv_text(lines)
 
 
 def curves_csv_text(curves: list[CurvePoint]) -> str:
     names = [f.name for f in dataclasses.fields(CurvePoint)]
-    lines = [",".join(names)]
-    for c in curves:
-        values = (getattr(c, name) for name in names)
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
-    return "\n".join(lines) + "\n"
+    return _csv_text([names] + [[getattr(c, name) for name in names] for c in curves])
+
+
+def write_matrix_csv(matrix, path) -> None:
+    """Plain CSV dump of a matrix: one row per line, no header."""
+    Path(path).write_text(_csv_text(np.atleast_2d(matrix)), encoding="utf-8")
 
 
 def emit_reports(report: ExperimentReport, outdir) -> None:

@@ -9,7 +9,8 @@ chain (Gram product and row normalization) while the teacher side is
 always treated as a constant.
 
 All losses return scalar tape nodes so they can be combined and
-differentiated; pass plain arrays where no gradient is wanted.
+differentiated; pass plain arrays where no gradient is wanted. This module
+is math only; ``experiments.write_matrix_csv`` writes the matrix dumps.
 """
 
 from __future__ import annotations
@@ -155,12 +156,3 @@ def distance_matrix(r1, r2, amplify: float = 3.0) -> np.ndarray:
     if r1.shape != r2.shape:
         raise DimensionError(f"shapes {r1.shape} and {r2.shape} differ")
     return np.clip(amplify * np.abs(r1 - r2), 0.0, 1.0)
-
-
-def write_matrix_csv(matrix, path) -> None:
-    """Plain CSV dump: one row per line, 9 significant digits, no header."""
-    m = matrix.data if isinstance(matrix, T.Tensor) else np.asarray(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
-

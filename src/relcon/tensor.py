@@ -9,7 +9,8 @@ central differences.
 
 Storage is always row-major contiguous float64; scalars have shape (1,).
 There is no broadcasting: the few "row-wise" operations that the models
-and losses need are explicit ops with their own backward rules.
+and losses need are explicit ops with their own backward rules. A square
+is ``mul(x, x)``; ``sum_all``, which only demos and tests call, is public API.
 
 The image ops (``conv2d``, ``global_avg_pool``, 4-D ``add_bias``) take
 channels-last [B, H, W, C] maps. ``conv2d`` builds its 3x3 patch matrix
@@ -170,10 +171,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
     return _node("mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def square(a: Tensor) -> Tensor:
-    return _node("square", a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
 
 
 def scale(a: Tensor, c: float) -> Tensor:

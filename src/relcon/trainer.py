@@ -124,6 +124,8 @@ class TrainConfig:
             raise ConfigError("batch sizes must be >= 1 labeled / >= 0 unlabeled")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
+        if not self.lr_decay_power >= 0:
+            raise ConfigError("lr_decay_power must be >= 0")
         if not 0.0 < self.pseudo_label_threshold < 1.0:
             raise ConfigError("pseudo_label_threshold must be in (0, 1)")
         if not 0.0 <= self.te_ensemble_rate < 1.0:

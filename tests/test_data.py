@@ -50,6 +50,16 @@ class TestBlobImages:
         counts = D.geometric_class_counts(70, 3, 2.0)
         assert counts.tolist() == [40, 20, 10]
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 100_000),
+           st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12).filter(lambda w: sum(w) > 0))
+    def test_largest_remainder_sums_to_total_within_one_of_share(self, total, weights):
+        weights = np.array(weights)
+        exact = total * weights / weights.sum()
+        counts = D._largest_remainder(exact, total)
+        assert counts.sum() == total
+        assert (np.abs(counts - exact) < 1).all()
+
     def test_within_class_identical_without_jitter(self):
         ds = D.gen_blob_images(12, 2, 8, 1.0, np.random.default_rng(1),
                                noise_sd=0.0, center_jitter=0.0)

@@ -124,7 +124,15 @@ class TestConfigParsing:
         ("train", "beta = nan"),
         ("train", "learning_rate = nan"),
         ("train", "relation_eps = -1"),
+        ("train", "lr_decay_power = nan"),
+        ("train", "lr_decay_power = -1"),
         ("dataset", "size = 3"),
+        ("dataset", "generator = moons\nnoise_sd = nan"),
+        ("dataset", "generator = blobs\nnoise_sd = -1"),
+        ("dataset", "generator = multiblobs\nnoise_sd = nan"),
+        ("dataset", "generator = blobs\ncenter_jitter = nan"),
+        ("dataset", "generator = blobs\ncenter_jitter = -0.1"),
+        ("dataset", "generator = blobs\nimbalance_ratio = nan"),
     ])
     def test_rejected_value_is_config_error_naming_section(self, section, line):
         with pytest.raises(ConfigError, match=rf"\[{section}\]"):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relcon import experiments as E
 from relcon import losses
 from relcon import tensor as T
 from relcon.errors import ContractError, DimensionError
@@ -277,12 +278,12 @@ class TestMatrixCsv:
         rng = np.random.default_rng(15)
         r = losses.relation_matrix(T.constant(rng.normal(size=(5, 3)))).data
         path = tmp_path / "rel.csv"
-        losses.write_matrix_csv(r, path)
+        E.write_matrix_csv(r, path)
         back = np.loadtxt(path, delimiter=",", ndmin=2)
         assert back.shape == (5, 5)
         assert np.abs(back - r).max() <= 1e-8  # 9 significant digits
 
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "m.csv"
-        losses.write_matrix_csv(np.array([[1.0 / 3.0]]), path)
+        E.write_matrix_csv(np.array([[1.0 / 3.0]]), path)
         assert path.read_text().strip() == "0.333333333"

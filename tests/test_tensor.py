@@ -71,9 +71,6 @@ class TestElementwise:
     def test_relu(self):
         assert np.array_equal(T.clip_min(T.constant([-1.0, 2.0]), 0.0).data, [0.0, 2.0])
 
-    def test_square(self):
-        assert np.array_equal(T.square(T.constant([3.0])).data, [9.0])
-
     def test_scale(self):
         assert np.array_equal(T.scale(T.constant([1.0, 2.0]), 0.5).data, [0.5, 1.0])
 
@@ -114,7 +111,8 @@ class TestBackward:
         b = T.constant(rng.normal(size=(3, 4)))
 
         def f(t):
-            return T.mean_all(T.square(T.matmul(t, b)))
+            tb = T.matmul(t, b)
+            return T.mean_all(T.mul(tb, tb))
 
         err = T.finite_difference_check(f, rng.normal(size=(2, 3)))
         assert err <= 1e-6
@@ -200,7 +198,7 @@ class TestOpGradientsSweep:
             "row_norm": lambda t: T.mean_all(T.row_l2_norm(t)),
             "div_rows": lambda t: T.frobenius_sq(T.mul(
                 T.div_rows(t, T.clip_min(T.row_l2_norm(t), 1e-8)), T.constant(mix))),
-            "slice": lambda t: T.mean_all(T.square(T.slice_rows(t, 0, b - 1))),
+            "slice": lambda t: T.frobenius_sq(T.slice_rows(t, 0, b - 1)),
             "add_reshape_sum": lambda t: T.sum_all(T.reshape(
                 T.add(t, T.constant(mix)), (d, b))),
             "sub_take": lambda t: T.mean_all(T.take_per_row(
@@ -242,7 +240,7 @@ class TestOpGradientsSweep:
 
         def f(t):
             h = T.add_bias(T.conv2d(t, T.constant(w)), T.constant(bias))
-            return T.frobenius_sq(T.global_avg_pool(T.square(h)))
+            return T.frobenius_sq(T.global_avg_pool(T.mul(h, h)))
 
         err = T.finite_difference_check(f, rng.normal(size=(2, 5, 5, 2)))
         assert err <= 1e-4
@@ -251,7 +249,7 @@ class TestOpGradientsSweep:
 
         def f_w(t):
             h = T.conv2d(T.constant(x_fixed), t)
-            return T.mean_all(T.square(h))
+            return T.mean_all(T.mul(h, h))
 
         assert T.finite_difference_check(f_w, w) <= 1e-4
 
@@ -473,7 +471,6 @@ _GRADIENT_CASES = {
     "sub": lambda rng, b, d: _binary_cases(T.sub, rng, (b, d), (b, d)),
     "mul": lambda rng, b, d: (_binary_cases(T.mul, rng, (b, d), (b, d))
                               + _unary_case(lambda t: T.mul(t, t), rng, rng.normal(size=(b, d)))),
-    "square": lambda rng, b, d: _unary_case(T.square, rng, rng.normal(size=(b, d))),
     "scale": lambda rng, b, d: _unary_case(
         lambda t, c=float(rng.normal()): T.scale(t, c), rng, rng.normal(size=(b, d))),
     "softplus": lambda rng, b, d: _unary_case(T.softplus, rng, rng.normal(scale=3, size=(b, d))),
