@@ -2,21 +2,20 @@
 
 Subcommands:
 
-* ``relcon run <config>``     execute a config (honoring its sweep section)
-* ``relcon sweep <config>``   same, but requires a non-empty sweep section
+* ``relcon run <config>``     run every cell of a config's sweep grid
 * ``relcon report <dir>``     summarize a results directory
 * ``relcon selftest``         run the built-in verification suites
 
-Common flags: ``--seed`` replaces the seed axis with one seed, ``--out``
-overrides the output directory, ``--parallel N`` runs independent sweep
-cells concurrently, ``--dump-relations e1,e2`` writes relation and
-distance matrix CSVs at those epochs.
+What a run computes is set by its config file alone, which ``report.json``
+echoes with its sha256. ``run`` takes two more flags that leave its
+results unchanged: ``--out`` writes the run directory somewhere other than
+the config's ``[output] dir``, and ``--parallel N`` runs up to N sweep
+cells concurrently.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,36 +23,12 @@ from . import experiments, selftest
 from .errors import ConfigError
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("config", help="path to the experiment config file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override: run only this training seed")
-    sub.add_argument("--out", default=None, help="override the output directory")
-    sub.add_argument("--parallel", type=int, default=1, metavar="N",
-                     help="run up to N sweep cells concurrently")
-    sub.add_argument("--dump-relations", default=None, metavar="EPOCHS",
-                     help="comma-separated epochs at which to dump relation matrices")
-
-
-def _apply_overrides(cfg: experiments.ExperimentConfig, args) -> experiments.ExperimentConfig:
-    if args.seed is not None:
-        cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
-        cfg.sweep = dataclasses.replace(cfg.sweep, seeds=(args.seed,))
-    if args.out is not None:
-        cfg.output = dataclasses.replace(cfg.output, dir=args.out)
-    if args.dump_relations is not None:
-        cfg = experiments.with_dump_relations(cfg, args.dump_relations)
-    return cfg
-
-
-def _cmd_run(args, require_sweep: bool) -> int:
-    cfg = experiments.parse_config(args.config)
-    if require_sweep and cfg.sweep.empty:
-        raise ConfigError("'relcon sweep' needs a [sweep] section; use 'relcon run' otherwise")
-    cfg = _apply_overrides(cfg, args)
+def _cmd_run(args) -> int:
+    cfg = experiments.parse_config_text(Path(args.config).read_text(encoding="utf-8"))
     report = experiments.run_experiment(cfg, parallel=args.parallel)
-    experiments.emit_reports(report, cfg.output.dir)
-    print(f"wrote {len(report.rows)} rows to {cfg.output.dir}/results.csv "
+    outdir = args.out or cfg.output.dir
+    experiments.emit_reports(report, outdir)
+    print(f"wrote {len(report.rows)} rows to {outdir}/results.csv "
           f"({report.wall_time_s:.1f}s)")
     for row in report.rows:
         if row.error:
@@ -98,8 +73,12 @@ def main(argv: list[str] | None = None) -> int:
         description="semi-supervised self-ensembling experiments with "
                     "sample-relation consistency")
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_run_flags(subs.add_parser("run", help="run a config"))
-    _add_run_flags(subs.add_parser("sweep", help="run a config's sweep grid"))
+    run = subs.add_parser("run", help="run every cell of a config")
+    run.add_argument("config", help="path to the experiment config file")
+    run.add_argument("--out", default=None, metavar="DIR",
+                     help="output directory (default: the config's [output] dir)")
+    run.add_argument("--parallel", type=int, default=1, metavar="N",
+                     help="run up to N sweep cells concurrently")
     rep = subs.add_parser("report", help="summarize a results directory")
     rep.add_argument("dir")
     rep.add_argument("--baseline", default="baseline",
@@ -109,9 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args, require_sweep=False)
-        if args.command == "sweep":
-            return _cmd_run(args, require_sweep=True)
+            return _cmd_run(args)
         if args.command == "report":
             return _cmd_report(args)
         return 1 if selftest.run_all() else 0

@@ -161,10 +161,17 @@ def geometric_class_counts(n: int, num_classes: int, ratio: float) -> np.ndarray
     """
     if ratio <= 0:
         raise ContractError("imbalance ratio must be > 0")
-    weights = np.array([ratio ** (num_classes - 1 - k) for k in range(num_classes)])
+    if not num_classes <= n < 2**63:
+        raise ContractError(f"n = {n} is outside [{num_classes}, 2**63): "
+                            "each class needs a sample")
+    rounded_to_zero = "class count rounded to zero; increase n or reduce ratio"
+    try:
+        weights = np.array([ratio ** (num_classes - 1 - k) for k in range(num_classes)])
+    except OverflowError:   # ratio**(K-1) > 1e308 leaves the last class a share below 1
+        raise ContractError(rounded_to_zero) from None
     counts = _largest_remainder(n * weights / weights.sum(), n)
     if (counts < 1).any():
-        raise ContractError("class count rounded to zero; increase n or reduce ratio")
+        raise ContractError(rounded_to_zero)
     return counts
 
 

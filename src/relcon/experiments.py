@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -67,12 +68,16 @@ class DatasetSection:
             raise ConfigError("noise_sd must be >= 0", key="noise_sd")
         if self.generator in ("blobs", "multiblobs") and self.size < 8:
             raise ConfigError("image generators need size >= 8", key="size")
-        if self.generator == "blobs" and self.classes < 2:
-            raise ConfigError("blobs need at least 2 classes", key="classes")
+        if self.generator in ("moons", "multiblobs") and self.n < 2:
+            raise ConfigError(f"{self.generator} need n >= 2", key="n")
+        if self.generator in ("blobs", "multiblobs") and self.classes < 2:
+            raise ConfigError("blob generators need at least 2 classes", key="classes")
         if self.generator == "blobs" and not self.center_jitter >= 0:
             raise ConfigError("center_jitter must be >= 0", key="center_jitter")
-        if self.generator == "blobs" and not self.imbalance_ratio > 0:
-            raise ConfigError("imbalance_ratio must be > 0", key="imbalance_ratio")
+        if self.generator == "blobs" and not 0 < self.imbalance_ratio < float("inf"):
+            raise ConfigError("imbalance_ratio must be finite and > 0", key="imbalance_ratio")
+        if self.generator == "blobs":
+            D.geometric_class_counts(self.n, self.classes, self.imbalance_ratio)
         if self.generator == "moons" and self.n % 2 != 0:
             raise ConfigError("moons need an even n", key="n")
 
@@ -84,10 +89,6 @@ class SweepSection:
     labeled_fraction: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
 
-    @property
-    def empty(self) -> bool:
-        return not (self.variant or self.beta or self.labeled_fraction or self.seeds)
-
 
 @dataclass(frozen=True)
 class OutputSection:
@@ -95,7 +96,7 @@ class OutputSection:
     dump_relations: tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSection = field(default_factory=DatasetSection)
     split: D.SplitSpec = field(default_factory=D.SplitSpec)
@@ -237,27 +238,12 @@ def _check_dump_epochs(cfg: ExperimentConfig) -> None:
         if not 0 <= epoch < total:
             raise ConfigError(f"[output] dump_relations: epoch {epoch} is outside "
                               f"[0, {total}) for total_epochs = {total}")
-    variants = cfg.sweep.variant or (cfg.train.variant,)
+    variants = dict.fromkeys(variant for variant, *_ in sweep_cells(cfg))
     blind = [v for v in variants if not has_target_view(v)]
     if cfg.output.dump_relations and blind:
         raise ConfigError(f"[output] dump_relations: {', '.join(blind)} "
                           f"{'has' if len(blind) == 1 else 'have'} no target view "
                           "and so no relation matrices to dump")
-
-
-def with_dump_relations(cfg: ExperimentConfig, raw: str) -> ExperimentConfig:
-    """``cfg`` with ``[output] dump_relations`` replaced by ``raw``, a comma
-    list in the config grammar, checked as the parser checks it."""
-    epochs = _parse_list(raw, int, None, "dump_relations")
-    out = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output,
-                                                              dump_relations=epochs))
-    _check_dump_epochs(out)
-    return out
-
-
-def parse_config(path) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +304,17 @@ def arch_for(dataset: D.Dataset, model: ModelSection) -> ArchSpec:
 
 
 def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, float, float, int]]:
-    """Cross product of (variant, beta, labeled_fraction, seed)."""
-    variants = cfg.sweep.variant or (cfg.train.variant,)
-    betas = cfg.sweep.beta or (cfg.train.beta,)
-    fractions = cfg.sweep.labeled_fraction or (cfg.split.labeled_fraction,)
-    seeds = cfg.sweep.seeds or (cfg.train.seed,)
-    cells = list(itertools.product(variants, betas, fractions, seeds))
-    if len(cells) > MAX_SWEEP_CELLS:
-        raise ConfigError(f"sweep would run {len(cells)} cells (limit {MAX_SWEEP_CELLS})")
-    return cells
+    """Cross product of (variant, beta, labeled_fraction, seed). Each axis is
+    its ``[sweep]`` list, else the one ``[train]`` or ``[split]`` value; this
+    is the only place that rule is written."""
+    axes = (cfg.sweep.variant or (cfg.train.variant,),
+            cfg.sweep.beta or (cfg.train.beta,),
+            cfg.sweep.labeled_fraction or (cfg.split.labeled_fraction,),
+            cfg.sweep.seeds or (cfg.train.seed,))
+    count = math.prod(map(len, axes))
+    if count > MAX_SWEEP_CELLS:
+        raise ConfigError(f"sweep would run {count} cells (limit {MAX_SWEEP_CELLS})")
+    return list(itertools.product(*axes))
 
 
 def _split_seed(base_seed: int, run_seed: int) -> int:

@@ -1,7 +1,10 @@
 """Experiment harness: config grammar, sweeps, reports, CLI."""
 
+import dataclasses
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +136,14 @@ class TestConfigParsing:
         ("dataset", "generator = blobs\ncenter_jitter = nan"),
         ("dataset", "generator = blobs\ncenter_jitter = -0.1"),
         ("dataset", "generator = blobs\nimbalance_ratio = nan"),
+        ("dataset", "generator = blobs\nimbalance_ratio = inf"),
+        ("dataset", "generator = blobs\nimbalance_ratio = 1e308"),
+        ("dataset", "generator = moons\nn = -2"),
+        ("dataset", "generator = multiblobs\nn = 0"),
+        ("dataset", "generator = multiblobs\nclasses = 0"),
+        ("dataset", "generator = blobs\nn = 0"),
+        ("dataset", "generator = blobs\nclasses = 1000000000000"),
+        ("dataset", "generator = blobs\nn = 1000000000000000000000000000000"),
     ])
     def test_rejected_value_is_config_error_naming_section(self, section, line):
         with pytest.raises(ConfigError, match=rf"\[{section}\]"):
@@ -218,8 +229,8 @@ class TestConfigParsing:
     def test_cross_product_guard(self):
         cfg = E.parse_config_text(QUICK_CONFIG)
         huge = tuple(range(101))
-        cfg.sweep = E.SweepSection(variant=("mt",), beta=(0.0,) * 101,
-                                   labeled_fraction=(0.1,), seeds=huge)
+        cfg = dataclasses.replace(cfg, sweep=E.SweepSection(
+            variant=("mt",), beta=(0.0,) * 101, labeled_fraction=(0.1,), seeds=huge))
         with pytest.raises(ConfigError, match="cells"):
             E.sweep_cells(cfg)
 
@@ -383,8 +394,8 @@ seed = 0
 class TestRelationDumps:
     def test_dump_files_have_unit_rows(self, tmp_path):
         cfg = E.parse_config_text(QUICK_CONFIG)
-        import dataclasses
-        cfg.output = dataclasses.replace(cfg.output, dump_relations=(1,))
+        cfg = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output,
+                                                                  dump_relations=(1,)))
         rep = E.run_experiment(cfg)
         E.emit_reports(rep, tmp_path)
         dumps = sorted((tmp_path / "runs").rglob("relation_epoch1_student.csv"))
@@ -427,28 +438,21 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "auc_mean" in proc.stdout
 
-    def test_sweep_requires_sweep_section(self, tmp_path):
+    @pytest.mark.parametrize("command, text, flags, message", [
+        ("run", "[train]\nbata = 1\n", (), "bata"),
+        # a run is set by its config alone: no sweep alias, seed or dump-epoch flag
+        ("sweep", QUICK_CONFIG + SWEEP_BLOCK, (), "invalid choice: 'sweep'"),
+        ("run", QUICK_CONFIG, ("--seed", "5"), "--seed"),
+        ("run", QUICK_CONFIG, ("--dump-relations", "0"), "--dump-relations"),
+    ], ids=["unknown-key", "sweep-command", "seed-flag", "dump-relations-flag"])
+    def test_config_error_exit_code(self, tmp_path, command, text, flags, message):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(QUICK_CONFIG)
-        proc = self.run_cli("sweep", str(cfg_path))
-        assert proc.returncode == 2
-        assert "sweep" in proc.stderr
-
-    def test_seed_override(self, tmp_path):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(QUICK_CONFIG)
+        cfg_path.write_text(text)
         out = tmp_path / "out"
-        proc = self.run_cli("run", str(cfg_path), "--out", str(out), "--seed", "5")
-        assert proc.returncode == 0, proc.stderr
-        rows = E.load_results_csv(out / "results.csv")
-        assert [r["seed"] for r in rows] == [5]
-
-    def test_config_error_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("[train]\nbata = 1\n")
-        proc = self.run_cli("run", str(cfg_path))
+        proc = self.run_cli(command, str(cfg_path), "--out", str(out), *flags)
         assert proc.returncode == 2
-        assert "bata" in proc.stderr
+        assert message in proc.stderr
+        assert not out.exists()
 
     def test_rejected_value_exits_with_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -476,36 +480,27 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag", ["x", "5", "0,2", "1,-1"])
-    def test_bad_dump_relations_flag_exits_with_config_error(self, tmp_path, capsys, flag):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(QUICK_CONFIG)   # total_epochs = 2
-        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--dump-relations", flag]
-        assert cli.main(argv) == 2
-        assert "config error:" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    def test_readme_cli_block_names_exactly_the_parsers_commands_and_flags(self, capsys):
+        def help_text(*argv):
+            with pytest.raises(SystemExit):
+                cli.main([*argv, "--help"])
+            return capsys.readouterr().out
 
-    @pytest.mark.parametrize("variants", ["baseline", "mt, te"])
-    def test_dump_relations_flag_without_target_view_exits_with_config_error(
-            self, tmp_path, capsys, variants):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(QUICK_CONFIG + f"[sweep]\nvariant = {variants}\n")
-        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--dump-relations", "0"]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert "config error:" in err and "no target view" in err
-        assert variants.split(", ")[-1] in err
-        assert not (tmp_path / "out").exists()
+        def flags(text):
+            return set(re.findall(r"--[a-z][a-z-]*", text)) - {"--help"}
 
-    def test_dump_relations_flag(self, tmp_path):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(QUICK_CONFIG)
-        out = tmp_path / "out"
-        proc = self.run_cli("run", str(cfg_path), "--out", str(out),
-                            "--dump-relations", "0,1")
-        assert proc.returncode == 0, proc.stderr
-        dumps = list((out / "runs").rglob("distance_epoch0.csv"))
-        assert dumps
+        commands = re.search(r"\{([a-z,]+)\}", help_text()).group(1).split(",")
+        parsed = {command: flags(help_text(command)) for command in commands}
+        section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+        documented = {}
+        for line in block.splitlines():
+            command = line.partition("#")[0]
+            assert command.startswith("relcon "), line
+            documented[command.split()[1]] = flags(command)
+        assert parsed == documented
+        assert sorted(commands) == ["report", "run", "selftest"]
+        assert parsed["run"] == {"--out", "--parallel"}
 
     def test_selftest_subcommand(self):
         proc = self.run_cli("selftest")
@@ -549,3 +544,12 @@ seeds = 0, 1
         assert len(first) == 5   # results.csv and four cells' curves
         for outputs in runs.values():
             assert outputs == first
+
+        # the run directory records the run it holds
+        out = tmp_path / "out-t1-p1"
+        report = json.loads((out / "report.json").read_text())
+        echo = report["config_echo"]
+        assert report["config_hash"] == hashlib.sha256(echo.encode("utf-8")).hexdigest()
+        rows = [(r["variant"], r["beta"], r["labeled_fraction"], r["seed"])
+                for r in E.load_results_csv(out / "results.csv")]
+        assert E.sweep_cells(E.parse_config_text(echo)) == rows
