@@ -175,6 +175,57 @@ def geometric_class_counts(n: int, num_classes: int, ratio: float) -> np.ndarray
     return counts
 
 
+def _draw_centers_and_noise(rng: np.random.Generator, n: int, size: int, blobs: int,
+                            spread: float, noise_sd: float) -> tuple[np.ndarray, np.ndarray]:
+    """The random draws of ``n`` blob images, in the generators' fixed order:
+    image by image, ``blobs`` centres (y, then x, each ``size / 2`` plus a
+    ``rng.uniform(-spread, spread)`` offset), then, when ``noise_sd > 0``,
+    the ``size * size`` pixel noise values from ``rng.normal``.
+
+    Returns the centres [n, blobs, 2] and the images [n, 1, size, size]
+    holding the noise (zeros without it).
+    """
+    images = np.zeros((n, 1, size, size))
+    centers = np.empty((n, blobs, 2))
+    uniform, normal = rng.uniform, rng.normal
+    noise = images.reshape(n, size * size)
+    for i in range(n):
+        centers[i] = uniform(-spread, spread, (blobs, 2))
+        if noise_sd > 0:
+            noise[i] = normal(0.0, noise_sd, size * size)
+    centers += size / 2.0
+    return centers, images
+
+
+# pixels per rendering pass: each float64 temporary stays at 64 KiB, under
+# glibc's default mmap threshold, so passes reuse heap memory
+_RENDER_PIXELS = 8192
+
+
+def _add_blobs(out: np.ndarray, rows: np.ndarray, centers: np.ndarray, sigma: float,
+               intensity: float) -> None:
+    """Add ``intensity * exp(-((y - cy)**2 + (x - cx)**2) / (2 * sigma**2))``
+    to image ``out[rows[i]]``, centred at ``centers[i] = (cy, cx)``, in place.
+
+    ``out`` is [N, size, size]. Rows go ``_RENDER_PIXELS // size**2`` at a
+    time; each pixel sees the same float operations, in the same order, as
+    the formula evaluated on one image.
+    """
+    size = out.shape[-1]
+    grid = np.arange(size)
+    step = max(1, _RENDER_PIXELS // size ** 2)
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        dy2 = np.square(grid - centers[part, :1])     # [m, size]: depends on y only
+        dx2 = np.square(grid - centers[part, 1:])     # [m, size]: depends on x only
+        blob = np.add(dy2[:, :, None], dx2[:, None, :])
+        np.negative(blob, out=blob)
+        np.divide(blob, 2 * sigma ** 2, out=blob)
+        np.exp(blob, out=blob)
+        np.multiply(blob, intensity, out=blob)
+        out[rows[part]] += blob
+
+
 def gen_blob_images(n: int, num_classes: int, size: int, imbalance_ratio: float,
                     rng: np.random.Generator, noise_sd: float = 0.05,
                     center_jitter: float = 0.15) -> Dataset:
@@ -184,31 +235,27 @@ def gen_blob_images(n: int, num_classes: int, size: int, imbalance_ratio: float,
     drawn uniformly (class-independent), so flips and translations keep
     the class recognizable. ``center_jitter`` is the center spread as a
     fraction of the image size; with it and ``noise_sd`` both zero, images
-    within a class are identical.
+    within a class are identical. Images come in class order, class k's
+    ``geometric_class_counts`` rows after class k-1's.
+
+    Draw order, which keeps a seed's dataset byte-stable: image by image,
+    the two centre offsets (y, then x) from ``rng.uniform``, then, when
+    ``noise_sd > 0``, the ``size * size`` noise values from ``rng.normal``.
+    Each pixel is noise + blob, or the blob alone without noise.
     """
     if size < 8:
         raise ContractError("size must be >= 8")
     if num_classes < 2:
         raise ContractError("need at least 2 classes")
     counts = geometric_class_counts(n, num_classes, imbalance_ratio)
-    grid_y, grid_x = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    images = np.zeros((n, 1, size, size))
-    labels = np.zeros(n, dtype=int)
-    row = 0
+    centers, images = _draw_centers_and_noise(rng, n, size, 1, center_jitter * size, noise_sd)
+    ends = np.cumsum(counts)
     for k in range(num_classes):
         frac = (k + 1) / (num_classes + 1)
-        sigma = size * (0.08 + 0.10 * frac)
-        intensity = 0.55 + 0.45 * frac
-        for _ in range(counts[k]):
-            cy = size / 2.0 + rng.uniform(-center_jitter * size, center_jitter * size)
-            cx = size / 2.0 + rng.uniform(-center_jitter * size, center_jitter * size)
-            blob = intensity * np.exp(-((grid_y - cy) ** 2 + (grid_x - cx) ** 2) / (2 * sigma ** 2))
-            if noise_sd > 0:
-                blob = blob + rng.normal(0.0, noise_sd, size=(size, size))
-            images[row, 0] = blob
-            labels[row] = k
-            row += 1
-    return Dataset(images, labels, num_classes)
+        rows = np.arange(ends[k] - counts[k], ends[k])
+        _add_blobs(images[:, 0], rows, centers[rows, 0], size * (0.08 + 0.10 * frac),
+                   0.55 + 0.45 * frac)
+    return Dataset(images, np.repeat(np.arange(num_classes), counts), num_classes)
 
 
 def gen_multiblob_images(n: int, size: int, rng: np.random.Generator,
@@ -218,6 +265,13 @@ def gen_multiblob_images(n: int, size: int, rng: np.random.Generator,
     Each blob kind (its own radius and intensity) is independently present
     with probability 0.5, yielding a multi-hot target per image. Every kind
     is guaranteed at least one positive and one negative sample.
+
+    Draw order, which keeps a seed's dataset byte-stable: the [n, num_types]
+    presence uniforms from ``rng.random``; then image by image, a centre
+    (y, then x) for every kind, present or not, from ``rng.uniform``, then,
+    when ``noise_sd > 0``, the ``size * size`` noise values from
+    ``rng.normal``. Each pixel is noise + the sum of its present blobs,
+    added in kind order starting from 0.0.
     """
     if size < 8:
         raise ContractError("size must be >= 8")
@@ -227,23 +281,14 @@ def gen_multiblob_images(n: int, size: int, rng: np.random.Generator,
             present[c % n, c] = True
         if present[:, c].all():
             present[c % n, c] = False
-    grid_y, grid_x = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    images = np.zeros((n, 1, size, size))
-    for i in range(n):
-        canvas = np.zeros((size, size))
-        for c in range(num_types):
-            cy = size / 2.0 + rng.uniform(-0.2 * size, 0.2 * size)
-            cx = size / 2.0 + rng.uniform(-0.2 * size, 0.2 * size)
-            if not present[i, c]:
-                continue
-            frac = (c + 1) / (num_types + 1)
-            sigma = size * (0.06 + 0.08 * frac)
-            intensity = 0.5 + 0.5 * frac
-            canvas += intensity * np.exp(
-                -((grid_y - cy) ** 2 + (grid_x - cx) ** 2) / (2 * sigma ** 2))
-        if noise_sd > 0:
-            canvas = canvas + rng.normal(0.0, noise_sd, size=(size, size))
-        images[i, 0] = canvas
+    centers, images = _draw_centers_and_noise(rng, n, size, num_types, 0.2 * size, noise_sd)
+    canvas = np.zeros((n, size, size))
+    for c in range(num_types):
+        frac = (c + 1) / (num_types + 1)
+        rows = np.flatnonzero(present[:, c])
+        _add_blobs(canvas, rows, centers[rows, c], size * (0.06 + 0.08 * frac),
+                   0.5 + 0.5 * frac)
+    images[:, 0] += canvas
     return Dataset(images, present.astype(int), num_types)
 
 

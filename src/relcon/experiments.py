@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import time
+import traceback
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -259,7 +260,8 @@ class ResultRow:
     metrics: MetricsReport | None
     curves: list[CurvePoint] = field(default_factory=list)
     relation_dumps: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
-    error: str = ""
+    error: str = ""             # "Type: message" of a failed cell
+    error_traceback: str = ""   # its full traceback, written to error.txt
 
     @property
     def run_name(self) -> str:
@@ -342,16 +344,22 @@ def _run_cell_safe(args) -> ResultRow:
         return run_cell(cfg, variant, beta, fraction, seed)
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded per-row
         return ResultRow(variant, beta, fraction, seed, None,
-                         error=f"{type(exc).__name__}: {exc}")
+                         error=f"{type(exc).__name__}: {exc}",
+                         error_traceback=traceback.format_exc())
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport:
-    """Train every sweep cell and collect rows in deterministic cell order."""
+    """Train every sweep cell and collect rows in deterministic cell order.
+
+    With ``parallel > 1`` the cells run in a process pool of at most one
+    worker per cell; a fork pool starts all its workers at the first submit.
+    """
     started = time.perf_counter()
     cells = sweep_cells(cfg)
     jobs = [(cfg, *cell) for cell in cells]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell_safe, jobs))
     else:
         rows = [_run_cell_safe(job) for job in jobs]
@@ -426,7 +434,7 @@ def emit_reports(report: ExperimentReport, outdir) -> None:
         run_dir = out / "runs" / row.run_name
         run_dir.mkdir(parents=True, exist_ok=True)
         if row.error:
-            (run_dir / "error.txt").write_text(row.error + "\n", encoding="utf-8")
+            (run_dir / "error.txt").write_text(row.error_traceback, encoding="utf-8")
             continue
         (run_dir / "curves.csv").write_text(curves_csv_text(row.curves), encoding="utf-8")
         (run_dir / "metrics.json").write_text(row.metrics.to_json() + "\n", encoding="utf-8")

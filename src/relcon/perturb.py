@@ -79,17 +79,6 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
 
 
-def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of the 128-bit products m * x; the high
-    words are assembled from 32-bit halves, whose products fit in 64 bits."""
-    m_lo, m_hi = m & _MASK32, m >> _SHIFT32
-    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
-    lo_lo, lo_hi = x_lo * m_lo, x_lo * m_hi
-    hi_lo, hi_hi = x_hi * m_lo, x_hi * m_hi
-    carry = ((lo_lo >> _SHIFT32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)) >> _SHIFT32
-    return x * m, hi_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + carry
-
-
 def _philox(key: np.ndarray, counter: tuple) -> tuple[np.ndarray, ...]:
     """The four output words of Philox4x64-10 for each counter.
 
@@ -103,14 +92,32 @@ def _philox(key: np.ndarray, counter: tuple) -> tuple[np.ndarray, ...]:
     a, b = np.stack([c0, c2]), np.stack([c1, c3])
     column = (2,) + (1,) * c0.ndim
     m = _PHILOX_M.reshape(column)
-    k0, k1 = int(key[0]), int(key[1])
+    m_lo, m_hi = m & _MASK32, m >> _SHIFT32
+    # key r is the master key bumped r times
+    round_keys = np.array([[(int(key[j]) + r * _PHILOX_W[j]) & _WORD for j in (0, 1)]
+                           for r in range(_ROUNDS)], dtype=np.uint64)
+    round_keys = round_keys.reshape((_ROUNDS,) + column)
     with np.errstate(over="ignore"):
         for r in range(_ROUNDS):
-            if r:
-                k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
-            lo, hi = _mulhilo(m, a)
-            a = hi[::-1] ^ b ^ np.array([k0, k1], dtype=np.uint64).reshape(column)
-            b = lo[::-1]
+            # high words of the 128-bit products m * a from 32-bit halves, none
+            # of whose partial sums overflow: u = ah*ml + (al*ml >> 32),
+            # v = al*mh + (u & MASK32), hi = ah*mh + (u >> 32) + (v >> 32)
+            a_lo, a_hi = a & _MASK32, a >> _SHIFT32
+            u = a_hi * m_lo
+            v = a_lo * m_lo
+            v >>= _SHIFT32
+            u += v
+            np.multiply(a_lo, m_hi, out=v)
+            v += np.bitwise_and(u, _MASK32, out=a_lo)
+            hi = np.multiply(a_hi, m_hi, out=a_hi)
+            u >>= _SHIFT32
+            hi += u
+            v >>= _SHIFT32
+            hi += v
+            a *= m                          # the low words
+            b ^= hi[::-1]
+            b ^= round_keys[r]
+            a, b = b, a[::-1]
     return a[0], b[0], a[1], b[1]
 
 

@@ -1,8 +1,10 @@
 """Dataset generators, splitting, batching, and file IO."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcon import data as D
@@ -39,6 +41,66 @@ class TestTwoMoons:
         m0 = ds.inputs[ds.labels == 0].mean(axis=0)
         m1 = ds.inputs[ds.labels == 1].mean(axis=0)
         assert np.linalg.norm(m0 - m1) > 4 * noise_sd
+
+
+def _reference_blob_images(n, num_classes, size, imbalance_ratio, rng, noise_sd, center_jitter):
+    """``gen_blob_images`` one image at a time, as first written: the oracle
+    its draw order and per-pixel arithmetic must match bit for bit."""
+    counts = D.geometric_class_counts(n, num_classes, imbalance_ratio)
+    grid_y, grid_x = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    images = np.zeros((n, 1, size, size))
+    labels = np.zeros(n, dtype=int)
+    row = 0
+    for k in range(num_classes):
+        frac = (k + 1) / (num_classes + 1)
+        sigma = size * (0.08 + 0.10 * frac)
+        intensity = 0.55 + 0.45 * frac
+        for _ in range(counts[k]):
+            cy = size / 2.0 + rng.uniform(-center_jitter * size, center_jitter * size)
+            cx = size / 2.0 + rng.uniform(-center_jitter * size, center_jitter * size)
+            blob = intensity * np.exp(-((grid_y - cy) ** 2 + (grid_x - cx) ** 2) / (2 * sigma ** 2))
+            if noise_sd > 0:
+                blob = blob + rng.normal(0.0, noise_sd, size=(size, size))
+            images[row, 0] = blob
+            labels[row] = k
+            row += 1
+    return images, labels
+
+
+def _reference_multiblob_images(n, size, rng, noise_sd, num_types):
+    """``gen_multiblob_images`` one image at a time, as first written."""
+    present = rng.random((n, num_types)) < 0.5
+    for c in range(num_types):
+        if not present[:, c].any():
+            present[c % n, c] = True
+        if present[:, c].all():
+            present[c % n, c] = False
+    grid_y, grid_x = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    images = np.zeros((n, 1, size, size))
+    for i in range(n):
+        canvas = np.zeros((size, size))
+        for c in range(num_types):
+            cy = size / 2.0 + rng.uniform(-0.2 * size, 0.2 * size)
+            cx = size / 2.0 + rng.uniform(-0.2 * size, 0.2 * size)
+            if not present[i, c]:
+                continue
+            frac = (c + 1) / (num_types + 1)
+            sigma = size * (0.06 + 0.08 * frac)
+            intensity = 0.5 + 0.5 * frac
+            canvas += intensity * np.exp(
+                -((grid_y - cy) ** 2 + (grid_x - cx) ** 2) / (2 * sigma ** 2))
+        if noise_sd > 0:
+            canvas = canvas + rng.normal(0.0, noise_sd, size=(size, size))
+        images[i, 0] = canvas
+    return images, present.astype(int)
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+_ZERO_OR_POSITIVE = st.sampled_from([0.0, 0.05, 0.3])
 
 
 class TestBlobImages:
@@ -85,6 +147,38 @@ class TestBlobImages:
         assert ds.labels.shape == (40, 3)
         assert (ds.labels.sum(axis=0) > 0).all()
         assert (ds.labels.sum(axis=0) < 40).all()
+
+    # the generators render many images per array expression; the bytes must
+    # not move, since every digest and criterion-7 figure rests on them
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 5), st.integers(0, 700), st.integers(8, 13),
+           st.sampled_from([1.0, 0.6, 1.7, 4.0]), _ZERO_OR_POSITIVE,
+           st.sampled_from([0.0, 0.15, 0.4]), st.integers(0, 2**32 - 1))
+    @example(2, 0, 8, 1.0, 0.0, 0.0, 0)
+    @example(3, 1000, 12, 1.0, 0.25, 0.15, 17)
+    def test_blob_images_match_one_image_at_a_time_reference(
+            self, classes, extra, size, ratio, noise_sd, jitter, seed):
+        weights = ratio ** np.arange(classes)
+        n = math.ceil(weights.sum() / weights.min()) + extra   # every class keeps a sample
+        ds = D.gen_blob_images(n, classes, size, ratio, np.random.default_rng(seed),
+                               noise_sd=noise_sd, center_jitter=jitter)
+        images, labels = _reference_blob_images(n, classes, size, ratio,
+                                                np.random.default_rng(seed), noise_sd, jitter)
+        _assert_same_bytes(ds.inputs, images)
+        _assert_same_bytes(ds.labels, labels)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(2, 600), st.integers(8, 13), _ZERO_OR_POSITIVE, st.integers(2, 5),
+           st.integers(0, 2**32 - 1))
+    @example(2, 8, 0.0, 2, 0)
+    def test_multiblob_images_match_one_image_at_a_time_reference(
+            self, n, size, noise_sd, types, seed):
+        ds = D.gen_multiblob_images(n, size, np.random.default_rng(seed),
+                                    noise_sd=noise_sd, num_types=types)
+        images, labels = _reference_multiblob_images(n, size, np.random.default_rng(seed),
+                                                     noise_sd, types)
+        _assert_same_bytes(ds.inputs, images)
+        _assert_same_bytes(ds.labels, labels)
 
 
 class TestDataset:

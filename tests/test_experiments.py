@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,32 @@ class TestFailureHandling:
         E.emit_reports(rep, tmp_path)
         text = (tmp_path / "results.csv").read_text()
         assert "nan" in text
+
+        # report.json keeps "Type: message"; error.txt holds the full traceback
+        (row,) = bad
+        assert row.error.startswith("SplitError: ")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["failures"] == [{"run": row.run_name, "error": row.error}]
+        lines = (tmp_path / "runs" / row.run_name / "error.txt").read_text().splitlines()
+        assert lines[0] == "Traceback (most recent call last):"
+        assert lines[-1] == "relcon.errors." + row.error
+
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(E, "ProcessPoolExecutor", RecordingPool)
+        two_cells = E.parse_config_text(QUICK_CONFIG + "[sweep]\nseeds = 0, 1\n")
+        pooled = E.run_experiment(two_cells, parallel=4)
+        assert sizes == [2]
+        assert E.results_csv_text(pooled) == E.results_csv_text(E.run_experiment(two_cells))
+        one_cell = E.parse_config_text(QUICK_CONFIG)
+        E.run_experiment(one_cell, parallel=4)
+        assert sizes == [2]   # a single cell runs in this process
 
 
 class TestCli:
