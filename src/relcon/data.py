@@ -91,6 +91,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.labeled_fraction <= 1.0:
             raise ContractError("labeled_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,10 @@ def _stratified_pick(labels: np.ndarray, pool: np.ndarray, quota: int) -> np.nda
 
 
 def split_labeled(ds: Dataset, spec: SplitSpec) -> Splits:
-    """70/10/20 train/val/test, then carve the labeled set out of train."""
+    """70/10/20 train/val/test, then carve the labeled set out of train.
+
+    Raises SplitError when the validation or the test split would be empty
+    or the labeled split would miss a class."""
     n = len(ds)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
@@ -320,6 +325,9 @@ def split_labeled(ds: Dataset, spec: SplitSpec) -> Splits:
     train_idx = perm[:n_train]
     val_idx = perm[n_train:n_train + n_val]
     test_idx = perm[n_train + n_val:]
+    for name, idx in (("validation", val_idx), ("test", test_idx)):
+        if idx.size == 0:
+            raise SplitError(f"{n} samples leave the {name} split empty")
 
     quota = int(round(spec.labeled_fraction * n_train))
     quota = max(quota, 1)

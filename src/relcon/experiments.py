@@ -65,6 +65,8 @@ class DatasetSection:
             raise ConfigError(f"generator must be one of {_GENERATORS}", key="generator")
         if self.generator in ("file", "csv") and not self.path:
             raise ConfigError("file/csv generator needs a path", key="path")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", key="seed")
         if self.generator in ("moons", "blobs", "multiblobs") and not self.noise_sd >= 0:
             raise ConfigError("noise_sd must be >= 0", key="noise_sd")
         if self.generator in ("blobs", "multiblobs") and self.size < 8:

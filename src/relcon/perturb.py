@@ -3,11 +3,14 @@
 Each sample in a batch is perturbed separately, and the two views fed to
 the student and teacher come from disjoint random streams. The draws are
 counter-based: one Philox4x64-10 call (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011) keyed on the master key makes the
-words of every sample and view, block ``b`` of sample ``i`` in view ``v``
-being the cipher of the counter (b, v, id_i, 0). A sample's draw is thus a
-function of its id alone, and does not depend on where it lands in the
-batch or on what other samples are present.
+numbers: as easy as 1, 2, 3", SC 2011) makes the words of every sample and
+view, block ``b`` of sample ``i`` in view ``v`` being the cipher of the
+counter (b, v, id_i, 0) under the key of row i. The key comes from a master
+key, one for the whole call or one per row. The trainer keys each row by its
+batch's step key, and one call may span several batches: a row's draw is a
+function of its key and id alone, so it does not depend on where it lands in
+the call, on what other samples are present, or on how an epoch's batches
+are grouped into calls.
 
 Block 0 holds an image view's geometry: the rotation angle, the two shifts
 and the two flips. Blocks 1 onward hold the noise, one 64-bit word per pair
@@ -72,31 +75,34 @@ class Geometry:
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_WORD = 2 ** 64 - 1
 # multipliers of counter words 0 and 2, and the per-round bumps of key words 0 and 1
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _ROUNDS = 10
 
 
-def _philox(key: np.ndarray, counter: tuple) -> tuple[np.ndarray, ...]:
+def _philox(key, counter: tuple) -> tuple[np.ndarray, ...]:
     """The four output words of Philox4x64-10 for each counter.
 
-    ``key`` is two uint64 words and ``counter`` four broadcastable uint64
-    arrays, word 0 the least significant. numpy's ``Philox(key=k,
-    counter=c - 1).random_raw(4)`` returns the same block: numpy bumps its
-    counter before each block.
+    ``key`` is two uint64 key words and ``counter`` four uint64 counter
+    words, word 0 the least significant; all six are arrays that broadcast
+    together, so one call can run each counter under its own key. numpy's
+    ``Philox(key=k, counter=c - 1).random_raw(4)`` returns the same block:
+    numpy bumps its counter before each block.
     """
-    c0, c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    k0, k1 = np.broadcast_arrays(*(np.asarray(k, dtype=np.uint64) for k in key))
+    counter = [np.asarray(c, dtype=np.uint64) for c in counter]
+    shape = np.broadcast_shapes(k0.shape, *(c.shape for c in counter))
+    c0, c1, c2, c3 = (np.broadcast_to(c, shape) for c in counter)
     # both multiplies of a round in one pass: a = words (0, 2), b = words (1, 3)
     a, b = np.stack([c0, c2]), np.stack([c1, c3])
-    column = (2,) + (1,) * c0.ndim
+    column = (2,) + (1,) * len(shape)
     m = _PHILOX_M.reshape(column)
     m_lo, m_hi = m & _MASK32, m >> _SHIFT32
-    # key r is the master key bumped r times
-    round_keys = np.array([[(int(key[j]) + r * _PHILOX_W[j]) & _WORD for j in (0, 1)]
-                           for r in range(_ROUNDS)], dtype=np.uint64)
-    round_keys = round_keys.reshape((_ROUNDS,) + column)
+    # key r is the master key bumped r times, in wrapping uint64 adds
+    keys = np.stack([k0, k1]).reshape((2,) + (1,) * (len(shape) - k0.ndim) + k0.shape)
+    bumps = np.arange(_ROUNDS, dtype=np.uint64)[:, None] * _PHILOX_W
+    round_keys = keys + bumps.reshape((_ROUNDS,) + column)
     with np.errstate(over="ignore"):
         for r in range(_ROUNDS):
             # high words of the 128-bit products m * a from 32-bit halves, none
@@ -209,14 +215,38 @@ def apply_draws(x: np.ndarray, geometry: Geometry | None,
     return out
 
 
-def perturb_pair(x: np.ndarray, cfg: PerturbConfig, master_key: tuple[int, ...],
+def _key_words(master_key, n: int) -> np.ndarray:
+    """The two Philox key words, indexed on their first axis: two words for
+    one master key, or [2, N, 1] for an [N, L] array of one key per row.
+    Rows that share a key share one ``SeedSequence`` derivation."""
+    if np.ndim(master_key) != 2:
+        return np.random.SeedSequence([int(k) for k in master_key]).generate_state(2, np.uint64)
+    keys = np.asarray(master_key)
+    if keys.shape[0] != n or not np.issubdtype(keys.dtype, np.integer):
+        raise ContractError(f"perturb_pair: need one integer key per row, got {keys.shape} "
+                            f"{keys.dtype} keys for {n} rows")
+    if keys.size and keys.min() < 0:
+        raise ContractError("perturb_pair: keys must be >= 0")
+    # runs of equal rows first: np.unique over whole rows sorts slowly
+    heads = np.ones(n, dtype=bool)
+    heads[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    unique, inverse = np.unique(keys[heads], axis=0, return_inverse=True)
+    words = np.array([np.random.SeedSequence([int(k) for k in row]).generate_state(2, np.uint64)
+                      for row in unique], dtype=np.uint64).reshape(-1, 2)
+    return words[inverse.reshape(-1)[np.cumsum(heads) - 1]].T[:, :, None]
+
+
+def perturb_pair(x: np.ndarray, cfg: PerturbConfig, master_key,
                  sample_ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Two independently perturbed views of a batch.
 
-    The Philox key comes from ``master_key``; sample i's words in view v are
-    counted on (block, v, id_i, 0), view 0 for the student and view 1 for
-    the teacher, so the two views are independent and a sample's draw is
-    stable under batch recomposition.
+    ``master_key`` is one tuple of non-negative ints for the whole batch, or
+    an [N, L] integer array of one key per row; a row's Philox key comes
+    from its own master key. Sample i's words in view v are counted on
+    (block, v, id_i, 0), view 0 for the student and view 1 for the teacher,
+    so the two views are independent, and a row's draw depends on its key
+    and id alone: it is stable under batch recomposition, and rows keyed by
+    several batches give each batch's views in one call.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -235,9 +265,9 @@ def perturb_pair(x: np.ndarray, cfg: PerturbConfig, master_key: tuple[int, ...],
     if blocks.size == 0:
         return x.copy(), x.copy()
 
-    key = np.random.SeedSequence([int(k) for k in master_key]).generate_state(2, np.uint64)
-    words = _philox(key, (blocks, np.arange(2, dtype=np.uint64)[:, None, None],
-                          sample_ids.astype(np.uint64)[:, None], 0))
+    words = _philox(_key_words(master_key, n),
+                    (blocks, np.arange(2, dtype=np.uint64)[:, None, None],
+                     sample_ids.astype(np.uint64)[:, None], 0))
     # [view, sample, block, word]
     words = np.stack(words, axis=-1)
     geometry = [None, None]
@@ -246,7 +276,7 @@ def perturb_pair(x: np.ndarray, cfg: PerturbConfig, master_key: tuple[int, ...],
         words = words[:, :, 1:]
     noise = [None, None]
     if noise_words:
-        z = _gaussian(words.reshape(2, n, -1)[..., :noise_words], size)
+        z = _gaussian(words.reshape(2, n, 4 * words.shape[2])[..., :noise_words], size)
         z = np.clip(z * np.sqrt(cfg.noise_variance), -cfg.noise_clip, cfg.noise_clip)
         noise = list(z.reshape((2,) + x.shape))
     view_s, view_t = (apply_draws(x, geometry[v], noise[v]) for v in (0, 1))

@@ -145,6 +145,11 @@ class TestConfigParsing:
         ("dataset", "generator = blobs\nn = 0"),
         ("dataset", "generator = blobs\nclasses = 1000000000000"),
         ("dataset", "generator = blobs\nn = 1000000000000000000000000000000"),
+        ("dataset", "seed = -1"),
+        ("dataset", "generator = moons\nseed = -1"),
+        ("split", "seed = -1"),
+        ("train", "seed = -1"),
+        ("train", "seed = 18446744073709551616"),
     ])
     def test_rejected_value_is_config_error_naming_section(self, section, line):
         with pytest.raises(ConfigError, match=rf"\[{section}\]"):
@@ -430,6 +435,20 @@ class TestFailureHandling:
         assert lines[0] == "Traceback (most recent call last):"
         assert lines[-1] == "relcon.errors." + row.error
 
+    @pytest.mark.parametrize("dataset", [
+        "generator = moons\nn = 4",
+        "generator = multiblobs\nn = 3\nsize = 8",
+    ])
+    def test_empty_validation_split_is_split_error(self, tmp_path, dataset):
+        text = f"[dataset]\n{dataset}\n[split]\nlabeled_fraction = 1.0\n" \
+               "[train]\nvariant = mt\ntotal_epochs = 1\nramp_epochs = 1\n"
+        rep = E.run_experiment(E.parse_config_text(text))
+        (row,) = rep.rows
+        assert row.error.startswith("SplitError: ") and "validation split empty" in row.error
+        E.emit_reports(rep, tmp_path)
+        lines = (tmp_path / "runs" / row.run_name / "error.txt").read_text().splitlines()
+        assert lines[-1] == "relcon.errors." + row.error
+
     def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
         sizes = []
 
@@ -498,6 +517,8 @@ class TestCli:
         "[train]\ndropout_rate = 1.5\n",
         "[train]\nconv_channels = 0, 8\n",
         "[dataset]\ngenerator = blobs\nsize = 1\n",
+        "[dataset]\nseed = -1\n",
+        "[split]\nseed = -1\n",
     ])
     def test_out_of_range_model_or_dataset_exits_with_config_error(
             self, tmp_path, capsys, text):

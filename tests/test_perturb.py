@@ -166,6 +166,29 @@ class TestPhilox:
         assert [int(w[1, 2]) for w in got] == [int(w) for w in one]
 
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.lists(st.integers(0, _WORD - 1), min_size=2, max_size=2),
+                              st.lists(st.integers(0, _WORD - 1), min_size=4, max_size=4)),
+                    min_size=1, max_size=5))
+    def test_per_element_keys_match_numpy_philox(self, rows):
+        keys = np.array([key for key, _ in rows], dtype=np.uint64).T
+        counters = np.array([counter for _, counter in rows], dtype=np.uint64).T
+        got = P._philox(keys, tuple(counters))
+        for i, (key, counter) in enumerate(rows):
+            bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64),
+                                      counter=_numpy_counter_before(counter))
+            assert [int(words[i]) for words in got] == [int(w) for w in bitgen.random_raw(4)]
+
+    def test_keys_broadcast_against_counters(self):
+        keys = np.array([[[3], [5]], [[4], [0]]], dtype=np.uint64)   # two keys, one per row
+        blocks = np.arange(3, dtype=np.uint64)
+        got = P._philox(keys, (blocks, 1, np.uint64(9), 0))
+        assert got[0].shape == (2, 3)
+        for row, key in enumerate(([3, 4], [5, 0])):
+            one = P._philox(np.array(key, dtype=np.uint64), (blocks, 1, np.uint64(9), 0))
+            assert all(np.array_equal(g[row], w) for g, w in zip(got, one))
+
+
 class TestGaussianNoise:
     def test_clip_bound(self):
         cfg = _noisy_cfg(variance=4.0, clip=0.2)  # huge sd, clipping dominates
@@ -458,3 +481,48 @@ class TestLargeShift:
                     assert not view[i].any()
                 else:
                     assert view[i].tobytes() == _reference_view(x[i], draw).tobytes()
+
+
+@st.composite
+def _grouped_cases(draw):
+    """Several batches of one input shape, each with its own master key."""
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 2)), draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    else:
+        shape = (draw(st.integers(1, 9)),)
+    cfg = P.PerturbConfig(
+        rotation_deg_max=draw(st.sampled_from([0.0, 10.0, 90.0])),
+        translate_frac_max=draw(st.sampled_from([0.0, 0.2])),
+        flip_prob=draw(st.sampled_from([0.0, 0.5])),
+        noise_enabled=draw(st.booleans()))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=sum(sizes), max_size=sum(sizes)))
+    # few key values, so that separate batches may share a key
+    width = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.lists(st.integers(0, 2), min_size=width, max_size=width),
+                         min_size=len(sizes), max_size=len(sizes)))
+    return shape, cfg, sizes, np.array(ids, dtype=np.int64), keys, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPerRowKeys:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_grouped_cases())
+    def test_one_call_equals_per_batch_calls_bytewise(self, case):
+        shape, cfg, sizes, ids, keys, seed = case
+        x = np.random.default_rng(seed).normal(size=(len(ids), *shape))
+        got = P.perturb_pair(x, cfg, np.repeat(np.array(keys), sizes, axis=0), sample_ids=ids)
+        bounds = np.cumsum([0] + sizes)
+        parts = [P.perturb_pair(x[a:b], cfg, tuple(key), sample_ids=ids[a:b])
+                 for a, b, key in zip(bounds, bounds[1:], keys)]
+        for v in (0, 1):
+            want = np.concatenate([part[v] for part in parts])
+            assert got[v].shape == want.shape and got[v].tobytes() == want.tobytes()
+
+    def test_key_rows_must_match_batch(self):
+        x = np.zeros((3, 4))
+        with pytest.raises(ContractError):
+            P.perturb_pair(x, _noisy_cfg(), np.zeros((2, 4), dtype=np.int64))
+        with pytest.raises(ContractError):
+            P.perturb_pair(x, _noisy_cfg(), np.array([[0], [1], [-1]]))
+        with pytest.raises(ContractError):
+            P.perturb_pair(x, _noisy_cfg(), np.zeros((3, 2)))

@@ -13,7 +13,7 @@ from relcon import models
 from relcon import trainer as TR
 from relcon.errors import ConfigError, ContractError
 from relcon.models import ArchSpec
-from relcon.perturb import PerturbConfig
+from relcon.perturb import PerturbConfig, perturb_pair
 
 
 def small_splits(seed=0, n=240, noise=0.05):
@@ -305,8 +305,10 @@ class TestTrainingContracts:
 
         batches = D.epoch_batches(splits.labeled, splits.unlabeled, cfg.plan,
                                   np.random.default_rng(0))
+        views = perturb_pair(batches[0].inputs, cfg.perturb, (cfg.seed, TR._TAG_PERTURB, 0, 0),
+                             sample_ids=batches[0].sample_ids)
         before = {k: v.copy() for k, v in state.teacher.items()}
-        TR._train_step(state, batches[0], 0, 0, 1.0, 1e-3, probe)
+        TR._train_step(state, batches[0], *views, 0, 0, 1.0, 1e-3, probe)
         # the new teacher must equal ema(old teacher, new student) exactly
         expected = TR.ema_update(before, state.student, cfg.alpha)
         assert params_digest(expected) == params_digest(state.teacher)
@@ -415,6 +417,52 @@ class TestTrainingContracts:
         rows, labels = res.state.pseudo
         assert labels.shape == (rows.size, 3)
         assert set(np.unique(labels)) <= {0, 1}
+
+
+def _per_batch_perturb_pair(x, cfg, keys, sample_ids):
+    """perturb_pair as one tuple-keyed call per run of rows that share a key,
+    the way a step drew its own batch's views."""
+    keys = np.asarray(keys)
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    stops = np.r_[starts[1:], len(x)]
+    parts = [perturb_pair(x[a:b], cfg, tuple(int(k) for k in keys[a]),
+                          sample_ids=sample_ids[a:b]) for a, b in zip(starts, stops)]
+    return tuple(np.concatenate([part[v] for part in parts]) for v in (0, 1))
+
+
+class TestGroupedPerturbation:
+    @pytest.mark.parametrize("bound", [1100, 2240, 2880, None])
+    def test_epoch_views_independent_of_grouping(self, monkeypatch, bound):
+        """8x8 images in 11 batches of 18 rows (1152 values) and a last one
+        of 17 rows (1088). A bound of 1100 sits between the two sizes, so
+        every batch is a call of its own; 2240 is exactly the last two
+        batches, 2880 groups batches in twos, and the default puts a whole
+        epoch in one call. Training matches the per-batch draws bit for bit."""
+        splits = small_splits()
+        cfg = quick_config(variant="src_mt", perturb=PerturbConfig(noise_enabled=True))
+        if bound is not None:
+            monkeypatch.setattr(TR, "PERTURB_BLOCK_VALUES", bound)
+        calls = []
+
+        def recording(x, *args, **kwargs):
+            calls.append(len(np.unique(args[1], axis=0)))
+            assert x.size <= TR.PERTURB_BLOCK_VALUES or calls[-1] == 1
+            return perturb_pair(x, *args, **kwargs)
+
+        runs = []
+        for draw in (recording, _per_batch_perturb_pair):
+            monkeypatch.setattr(TR, "perturb_pair", draw)
+            state = TR.init_trainer(cfg, ARCH, splits.labeled)
+            curves = [TR.train_epoch(state, splits) for _ in range(cfg.total_epochs)]
+            runs.append((curves, params_digest(state.student), params_digest(state.teacher)))
+        assert runs[0] == runs[1]
+        steps = len(D.epoch_batches(splits.labeled, splits.unlabeled, cfg.plan,
+                                    np.random.default_rng(0)))
+        assert sum(calls) == cfg.total_epochs * steps
+        assert steps == 12
+        per_epoch = {1100: [1] * steps, 2240: [1] * (steps - 2) + [2],
+                     2880: [2] * (steps // 2), None: [steps]}[bound]
+        assert calls == per_epoch * cfg.total_epochs
 
 
 class TestPredictProbsThreads:
