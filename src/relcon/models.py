@@ -6,7 +6,10 @@ Two architectures cover the two dataset kinds:
 * a tiny conv net for image data: two 3x3 stride-1 conv blocks with relu,
   global average pooling, then a linear head.
 
-The relu is ``tensor.clip_min`` at 0.
+An MLP layer is ``clip_min(add_bias(matmul(h, w), b), 0.0)``, the relu
+being ``tensor.clip_min`` at 0. A conv block is one tape op,
+``tensor.conv2d(h, w, b)``, which adds the bias and applies the relu with
+the same bits inside its own GEMM blocks.
 
 Both place dropout immediately before the final pooling stage (for the MLP,
 immediately before the head) using inverted-dropout scaling, so evaluation
@@ -126,8 +129,9 @@ def _dropout(node: T.Tensor, rate: float, rng: np.random.Generator) -> T.Tensor:
     # channels-last, so each draw of a conv map lands on the same
     # (sample, channel, y, x) as for an NCHW map.
     b, *spatial, c = node.shape
-    mask = np.moveaxis(rng.random((b, c, *spatial)) >= rate, 1, -1) / (1.0 - rate)
-    return T.mul(node, T.constant(mask))
+    keep = np.empty(node.shape, dtype=bool)
+    np.greater_equal(np.moveaxis(rng.random((b, c, *spatial)), 1, -1), rate, out=keep)
+    return T.mul(node, T.constant(keep * (1.0 / (1.0 - rate))))
 
 
 def forward(spec: ArchSpec, params: Params, x: np.ndarray, mode: str = "eval",
@@ -150,12 +154,13 @@ def forward(spec: ArchSpec, params: Params, x: np.ndarray, mode: str = "eval",
 
     leaf = _leaves(params, trainable)
     if spec.kind == "mlp":
-        h, layer, name, depth = T.constant(x), T.matmul, "dense", len(spec.hidden)
+        h = T.constant(x)
+        for i in range(len(spec.hidden)):
+            h = T.clip_min(T.add_bias(T.matmul(h, leaf[f"dense{i}.w"]), leaf[f"dense{i}.b"]), 0.0)
     else:
         h = T.constant(x.transpose(0, 2, 3, 1))   # NCHW batch -> NHWC net
-        layer, name, depth = T.conv2d, "conv", len(spec.conv_channels)
-    for i in range(depth):
-        h = T.clip_min(T.add_bias(layer(h, leaf[f"{name}{i}.w"]), leaf[f"{name}{i}.b"]), 0.0)
+        for i in range(len(spec.conv_channels)):
+            h = T.conv2d(h, leaf[f"conv{i}.w"], leaf[f"conv{i}.b"])
     if use_dropout:
         h = _dropout(h, spec.dropout_rate, rng)
     pre = h if spec.kind == "conv" else None

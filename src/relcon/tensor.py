@@ -12,22 +12,30 @@ There is no broadcasting: the few "row-wise" operations that the models
 and losses need are explicit ops with their own backward rules. A square
 is ``mul(x, x)``; ``sum_all``, which only demos and tests call, is public API.
 
-The image ops (``conv2d``, ``global_avg_pool``, 4-D ``add_bias``) take
-channels-last [B, H, W, C] maps. ``conv2d`` builds its 3x3 patch matrix
-with one strided copy into scratch arrays that belong to the calling
-thread, grow to the largest block seen and are kept for reuse; the tape
-never holds them, and the vjp rebuilds the patches it needs. The forward
-product runs over blocks of whole images whose patch matrix holds at most
-``CONV_BLOCK_VALUES`` values, so that a block's patches are still in the
-core's cache when its GEMM reads them, and each block's GEMM writes its
-rows straight into the output. The rows of a product this large depend
-only on their own patch rows, and the blocks are kept large (see
-``conv2d``), so the blocks do not change the bits. The vjp's two GEMMs
-run over the whole batch: the weight gradient sums over it, and blocks
-would change the rounding of that sum; the input-gradient product takes
-its weight in another layout, for which OpenBLAS picks a small-matrix
-kernel with other rounding under 10^6 multiply-adds, so blocks of it would
-change bits when a layer has few input channels.
+The image ops (``conv2d``, ``global_avg_pool``) take channels-last
+[B, H, W, C] maps. ``conv2d(x, w, b)`` is a whole conv layer,
+relu(conv3x3(x, w) + b), as one tape node. It builds its 3x3 patch matrix
+with one strided copy. The forward product runs over blocks of whole
+images whose patch matrix holds at most ``CONV_BLOCK_VALUES`` values, so
+that a block's patches are still in the core's cache when its GEMM reads
+them, and each block's GEMM writes its rows straight into the output. The
+rows of a product this large depend only on their own patch rows, and the
+blocks are kept large (see ``conv2d``), so the blocks do not change the
+bits. An epilogue then adds the bias and applies the relu to the block in
+place, while it is still in cache, with the operations and the bits of
+``clip_min(x + b, 0.0)``.
+
+When the weight takes a gradient (a student forward), the blocks' patches
+go into one array that the node owns, and the vjp's weight gradient reads
+it. Other forwards write their patches into scratch arrays that belong to
+the calling thread, grow to the largest block seen and are kept for
+reuse; the tape never holds them. The vjp masks its adjoint where the
+output is 0, and its two GEMMs run over the whole batch: the weight
+gradient sums over it, and blocks would change the rounding of that sum;
+the input-gradient product takes its weight in another layout, for which
+OpenBLAS picks a small-matrix kernel with other rounding under 10^6
+multiply-adds, so blocks of it would change bits when a layer has few
+input channels. A vjp computes no gradient for an operand that takes none.
 """
 
 from __future__ import annotations
@@ -127,7 +135,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g: Array):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _node("matmul", out, (a, b), vjp)
 
@@ -170,7 +179,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
-    return _node("mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+    def vjp(g: Array):
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
+
+    return _node("mul", a.data * b.data, (a, b), vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -217,14 +231,12 @@ def clip_min(a: Tensor, floor: float) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add vector b along the last axis of a 2-D [B, D] or 4-D [B, H, W, C] tensor."""
-    if x.ndim not in (2, 4) or b.ndim != 1 or x.shape[-1] != b.shape[0]:
+    """Add vector b to every row of a 2-D [B, D] tensor."""
+    if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
         raise DimensionError(f"add_bias: shapes {x.shape} and {b.shape} incompatible")
 
     def vjp(g: Array):
-        if g.ndim == 4:
-            return g, _sum_positions(g.reshape((1, -1) + g.shape[2:]))[0]
-        return g, g.sum(axis=0)
+        return (g if x.requires_grad else None), (g.sum(axis=0) if b.requires_grad else None)
 
     return _node("add_bias", x.data + b.data, (x, b), vjp)
 
@@ -391,10 +403,11 @@ def _scratch_view(slot: str, shape: tuple[int, ...]) -> Array:
     return buf[:n].reshape(shape)
 
 
-def _patches(x: Array) -> Array:
+def _patches(x: Array, out: Array | None = None) -> Array:
     """Zero-padded 3x3 patches of [B, H, W, C] as [B*H*W, 9*C], (ki, kj, c) order.
 
-    The result is a view of the ``cols`` scratch slot, valid until the next call.
+    The result is written into ``out`` when one is given, else into the
+    ``cols`` scratch slot, whose view is valid until the next call.
     """
     b, h, wd, c = x.shape
     xp = _scratch_view("pad", (b, h + 2, wd + 2, c))
@@ -403,16 +416,22 @@ def _patches(x: Array) -> Array:
     xp[:, 1:-1, 0] = 0.0
     xp[:, 1:-1, -1] = 0.0
     xp[:, 1:-1, 1:-1] = x
-    cols = _scratch_view("cols", (b, h, wd, 3, 3, c))
-    np.copyto(cols, np.lib.stride_tricks.sliding_window_view(
-        xp, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3))
+    shape = (b, h, wd, 3, 3, c)
+    cols = _scratch_view("cols", shape) if out is None else out.reshape(shape)
+    # xp's 3x3 windows as a strided view, built directly: sliding_window_view
+    # takes about 20 us a call, a tenth of a small block's patch copy
+    sb, sy, sx, sc = xp.strides
+    np.copyto(cols, np.ndarray(shape, buffer=xp, strides=(sb, sy, sx, sy, sx, sc)))
     return cols.reshape(b * h * wd, 9 * c)
 
 
-def conv2d(x: Tensor, w: Tensor) -> Tensor:
-    """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The conv layer relu(conv3x3(x, w) + b): stride 1, zero padding 1, so
+    the spatial size is preserved.
 
-    x: [B, H, W, Cin] (channels last), w: [Cout, Cin, 3, 3]; out: [B, H, W, Cout].
+    x: [B, H, W, Cin] (channels last), w: [Cout, Cin, 3, 3], b: [Cout];
+    out: [B, H, W, Cout]. The bias and the relu have the bits of
+    ``clip_min(x + b, 0.0)``: NaN maps to 0, and a zero comes out +0.0.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d: expected 4-D operands, got {x.shape} and {w.shape}")
@@ -420,32 +439,49 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(f"conv2d: kernel must be 3x3, got {w.shape}")
     if x.shape[3] != w.shape[1]:
         raise DimensionError(f"conv2d: channel mismatch: {x.shape} vs {w.shape}")
-    b, h, wd, cin = x.shape
+    if b.shape != (w.shape[0],):
+        raise DimensionError(f"conv2d: bias {b.shape} does not match kernel {w.shape}")
+    n, h, wd, cin = x.shape
     cout = w.shape[0]
     wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, 9 * cin).T
-    out = np.empty((b, h, wd, cout))
+    bias_row = np.tile(b.data, h * wd)
+    out = np.empty((n, h, wd, cout))
+    # the weight gradient reads the forward's patches, so a forward whose
+    # weight takes a gradient keeps them in an array of the node's own
+    kept = np.empty((n * h * wd, 9 * cin)) if w.requires_grad else None
     # the fewest blocks under the bound, with sizes within one image of each
     # other: a ragged block of one or two images could fall to the BLAS's
     # small-matrix kernel, whose rounding differs (one 12x12 image against
     # 8 kernels is a 144 x 54 by 54 x 8 product)
-    blocks = -(-b // max(1, CONV_BLOCK_VALUES // (h * wd * 9 * cin)))
+    blocks = -(-n // max(1, CONV_BLOCK_VALUES // (h * wd * 9 * cin)))
     stop = 0
     for k in range(blocks):
-        start, stop = stop, stop + b // blocks + (k < b % blocks)
-        np.matmul(_patches(x.data[start:stop]), wmat, out=out[start:stop].reshape(-1, cout))
+        start, stop = stop, stop + n // blocks + (k < n % blocks)
+        rows = None if kept is None else kept[start * h * wd:stop * h * wd]
+        np.matmul(_patches(x.data[start:stop], rows), wmat,
+                  out=out[start:stop].reshape(-1, cout))
+        # bias and relu while the block is in cache: the IEEE operations of
+        # clip_min(add_bias(conv, b), 0.0), in the same order
+        block = out[start:stop].reshape(stop - start, h * wd * cout)
+        block += bias_row
+        np.fmax(block, 0.0, out=block)
+        block += 0.0
 
     def vjp(g: Array):
-        gmat = g.reshape(b * h * wd, cout)
-        gx = gw = None
+        g = g * (out > 0.0)   # the relu's mask: out is 0 where conv + b <= 0 or is NaN
+        gmat = g.reshape(n * h * wd, cout)
+        gx = gw = gb = None
         if w.requires_grad:
-            gw = (gmat.T @ _patches(x.data)).reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
+            gw = (gmat.T @ kept).reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
         if x.requires_grad:
             # the input gradient is g correlated with the flipped kernel
             wflip = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * cout, cin)
-            gx = _patches(g.reshape(b, h, wd, cout)) @ wflip
-        return gx, gw
+            gx = _patches(g) @ wflip
+        if b.requires_grad:
+            gb = _sum_positions(g.reshape(1, n * h, wd, cout))[0]
+        return gx, gw, gb
 
-    return _node("conv2d", out, (x, w), vjp)
+    return _node("conv2d", out, (x, w, b), vjp)
 
 
 def _sum_positions(a: Array) -> Array:

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here. The ordering experiment (criterion 7)
-trains 30 runs of 40 epochs and dominates the runtime.
+trains 30 runs of 40 epochs, two at a time in worker processes, and dominates
+the runtime.
 """
 
 import hashlib
@@ -155,7 +156,7 @@ def test_criterion_7_desk_scale_ordering():
     its converged value below the value merely measured at weight 0."""
     started = time.perf_counter()
     cfg = E.parse_config_text(ORDERING_CONFIG)
-    report = E.run_experiment(cfg)
+    report = E.run_experiment(cfg, parallel=2)
     assert not report.failed, [r.error for r in report.rows if r.error]
 
     acc = {v: np.mean([E._row_metrics(r)[3] for r in report.rows if r.variant == v])

@@ -1,9 +1,11 @@
 """Byte-identity guard: committed sweep configs must reproduce committed digests.
 
 Each ``tests/identity/*.cfg`` runs through ``relcon run`` at ``--parallel 1``,
-in a fresh process with BLAS threads pinned to 1: the last bits of a
-training run depend on OpenBLAS's thread count, and ``tiny_noise.cfg``
-shows them. The sha256 of ``results.csv``, ``summary.csv`` and every per-run file
+in a fresh process with BLAS threads pinned to 1 through the environment.
+The last bits of a training run depend on OpenBLAS's thread count, and
+``tiny_noise.cfg`` shows them, so relcon sets one BLAS thread itself; that
+config also runs at ``OPENBLAS_NUM_THREADS=2`` against the same digests.
+The sha256 of ``results.csv``, ``summary.csv`` and every per-run file
 (``curves.csv``, ``metrics.json``, relation and distance dumps) must equal
 the entry in ``tests/identity/digests.json``; ``report.json`` is left out,
 since it holds the wall time.
@@ -34,10 +36,10 @@ _ENV = dict(os.environ, PYTHONPATH=str(HERE.parents[1] / "src"),
             OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
-def run_digests(config: Path, out: Path) -> dict[str, str]:
+def run_digests(config: Path, out: Path, env: dict[str, str] = _ENV) -> dict[str, str]:
     """Run one config into ``out``; sha256 of each output file by relative path."""
     subprocess.run([sys.executable, "-m", "relcon.cli", "run", str(config), "--out", str(out),
-                    "--parallel", "1"], env=_ENV, check=True, capture_output=True, timeout=300)
+                    "--parallel", "1"], env=env, check=True, capture_output=True, timeout=300)
     return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*"))
             if path.is_file() and path.name != "report.json"}
@@ -48,12 +50,23 @@ def test_every_config_has_digests():
         [config.stem for config in CONFIGS]
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
-def test_outputs_match_committed_digests(config, tmp_path):
+def _assert_digests(config: Path, out: Path, env: dict[str, str] = _ENV) -> None:
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))[config.stem]
-    got = run_digests(config, tmp_path / config.stem)
+    got = run_digests(config, out, env)
     differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert not differ, f"{len(differ)} of {len(want)} files differ: {differ[:10]}"
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_outputs_match_committed_digests(config, tmp_path):
+    _assert_digests(config, tmp_path / config.stem)
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Two BLAS threads in the environment change no output bit: relcon
+    runs its BLAS on one thread whatever the environment asks for."""
+    _assert_digests(HERE / "tiny_noise.cfg", tmp_path / "tiny_noise",
+                    dict(_ENV, OPENBLAS_NUM_THREADS="2"))
 
 
 if __name__ == "__main__":

@@ -83,6 +83,16 @@ class TestForward:
         assert np.array_equal(train.features_pre_pool.data,
                               ev.features_pre_pool.data * mask.transpose(0, 2, 3, 1))
 
+    @pytest.mark.parametrize("rate", [0.2, 0.1, 0.5, 0.7, 1e-9])
+    def test_dropout_mask_bits(self, rate):
+        """The mask has the bits of ``moveaxis(r >= rate, 1, -1) / (1 - rate)``,
+        its zeros +0.0."""
+        shape = (6, 3, 5, 4)
+        node = models._dropout(T.constant(np.ones(shape)), rate, np.random.default_rng(16))
+        r = np.random.default_rng(16).random((6, 4, 3, 5))
+        want = np.moveaxis(r >= rate, 1, -1) / (1 - rate)
+        assert np.array_equal(node.data.view(np.int64), want.view(np.int64))
+
     def test_input_shape_check(self):
         params = models.init_params(MLP, np.random.default_rng(0))
         with pytest.raises(DimensionError):
@@ -152,8 +162,7 @@ class TestEndToEndGradients:
             leafed = {k: T.constant(v) for k, v in params.items()}
             h = t
             for i in range(2):
-                h = T.clip_min(T.add_bias(T.conv2d(h, leafed[f"conv{i}.w"]),
-                                          leafed[f"conv{i}.b"]), 0.0)
+                h = T.conv2d(h, leafed[f"conv{i}.w"], leafed[f"conv{i}.b"])
             pooled = T.global_avg_pool(h)
             logits = T.add_bias(T.matmul(pooled, leafed["head.w"]), leafed["head.b"])
             return losses.weighted_cross_entropy(logits, labels)

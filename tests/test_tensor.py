@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relcon import tensor as T
@@ -152,6 +152,20 @@ class TestBackward:
         mixed = T.matmul(x, c)
         assert mixed.inputs == (x, c)
 
+    def test_vjps_skip_operands_without_gradient(self):
+        x, m = T.parameter(np.ones((2, 3)), name="x"), T.constant(np.ones((2, 3)))
+        g = np.ones((2, 3))
+        assert [t is None for t in T.mul(x, m)._vjp(g)] == [False, True]
+        assert [t is None for t in T.mul(m, x)._vjp(g)] == [True, False]
+        assert [t is None for t in T.matmul(x, T.constant(np.ones((3, 3))))._vjp(g)] == \
+            [False, True]
+        assert [t is None for t in T.matmul(T.constant(np.ones((2, 2))), x)._vjp(g)] == \
+            [True, False]
+        assert [t is None for t in T.add_bias(x, T.constant(np.ones(3)))._vjp(g)] == \
+            [False, True]
+        assert [t is None for t in T.add_bias(m, T.parameter(np.ones(3)))._vjp(g)] == \
+            [True, False]
+
     def test_backward_keeps_leaf_grads_only(self):
         x = T.parameter([[1.0, -2.0], [3.0, 4.0]], name="x")
         hidden = T.clip_min(T.matmul(x, T.transpose(x)), 0.0)
@@ -210,7 +224,7 @@ class TestOpGradientsSweep:
             err = T.finite_difference_check(f, x)
             assert err <= 1e-4, f"{name} seed {seed}: {err}"
 
-    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4, 5)])
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 5)])
     def test_add_bias_both_operands(self, shape):
         rng = np.random.default_rng(len(shape))
         x = rng.normal(size=shape)
@@ -227,7 +241,8 @@ class TestOpGradientsSweep:
         assert T.finite_difference_check(f_b, b) <= 1e-4
 
     @pytest.mark.parametrize("x_shape, b_shape", [
-        ((2, 3, 4), (4,)), ((2, 3), (4,)), ((2, 4, 4, 3), (4,)), ((2, 3), (1, 3))])
+        ((2, 3, 4), (4,)), ((2, 3), (4,)), ((2, 4, 4, 3), (4,)), ((2, 3), (1, 3)),
+        ((2, 3, 4, 5), (5,))])
     def test_add_bias_rejects_shapes(self, x_shape, b_shape):
         with pytest.raises(DimensionError, match="add_bias"):
             T.add_bias(T.constant(np.ones(x_shape)), T.constant(np.ones(b_shape)))
@@ -238,8 +253,9 @@ class TestOpGradientsSweep:
         w = rng.normal(size=(3, 2, 3, 3))
         bias = rng.normal(size=3)
 
+        # squared relu outputs are smooth through the kink
         def f(t):
-            h = T.add_bias(T.conv2d(t, T.constant(w)), T.constant(bias))
+            h = T.conv2d(t, T.constant(w), T.constant(bias))
             return T.frobenius_sq(T.global_avg_pool(T.mul(h, h)))
 
         err = T.finite_difference_check(f, rng.normal(size=(2, 5, 5, 2)))
@@ -248,10 +264,15 @@ class TestOpGradientsSweep:
         x_fixed = rng.normal(size=(2, 5, 5, 2))
 
         def f_w(t):
-            h = T.conv2d(T.constant(x_fixed), t)
+            h = T.conv2d(T.constant(x_fixed), t, T.constant(bias))
+            return T.mean_all(T.mul(h, h))
+
+        def f_b(t):
+            h = T.conv2d(T.constant(x_fixed), T.constant(w), t)
             return T.mean_all(T.mul(h, h))
 
         assert T.finite_difference_check(f_w, w) <= 1e-4
+        assert T.finite_difference_check(f_b, bias) <= 1e-4
 
 
 # channels-last map shapes: B in 1..4, H and W in 1..6, Cin and Cout in 1..4
@@ -260,7 +281,8 @@ _MAP_CASES = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
 
 
 def _direct_conv(x, w):
-    """Zero-padded 3x3 correlation straight from its definition, one output at a time."""
+    """Zero-padded 3x3 correlation straight from its definition, one output at a time
+    (no bias, no relu)."""
     b, h, wd, _ = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     out = np.zeros((b, h, wd, w.shape[0]))
@@ -273,45 +295,61 @@ def _direct_conv(x, w):
     return out
 
 
+def _map_case(case):
+    """x, w, b and a weighting of the outputs for one channels-last case."""
+    b, h, wd, cin, cout, seed = case
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(b, h, wd, cin)), rng.normal(size=(cout, cin, 3, 3)),
+            rng.normal(size=cout), rng.normal(size=(b, h, wd, cout)))
+
+
 class TestConvNetOpProperties:
-    """conv2d, global_avg_pool and 4-D add_bias on random channels-last shapes."""
+    """conv2d and global_avg_pool on random channels-last shapes."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_MAP_CASES)
     def test_conv2d_matches_direct_definition(self, case):
-        b, h, wd, cin, cout, seed = case
-        rng = np.random.default_rng(seed)
-        x, w = rng.normal(size=(b, h, wd, cin)), rng.normal(size=(cout, cin, 3, 3))
-        out = T.conv2d(T.constant(x), T.constant(w)).data
-        assert out.shape == (b, h, wd, cout)
-        assert np.abs(out - _direct_conv(x, w)).max() <= 1e-12
+        x, w, bias, _ = _map_case(case)
+        out = T.conv2d(T.constant(x), T.constant(w), T.constant(bias)).data
+        assert out.shape == x.shape[:3] + (w.shape[0],)
+        assert np.abs(out - np.maximum(_direct_conv(x, w) + bias, 0.0)).max() <= 1e-12
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_MAP_CASES)
-    def test_conv2d_both_operands(self, case):
-        b, h, wd, cin, cout, seed = case
-        rng = np.random.default_rng(seed)
-        x, w = rng.normal(size=(b, h, wd, cin)), rng.normal(size=(cout, cin, 3, 3))
-        weights = T.constant(rng.normal(size=(b, h, wd, cout)))
+    def test_conv2d_all_operands(self, case):
+        """Central differences, on points whose pre-relu values all stay
+        clear of 0 under the check's 1e-5 steps."""
+        x, w, bias, weights = _map_case(case)
+        assume(np.abs(_direct_conv(x, w) + bias).min() > 1e-3)
+        weights = T.constant(weights)
+        x_, w_, b_ = T.constant(x), T.constant(w), T.constant(bias)
         assert T.finite_difference_check(
-            lambda t: T.sum_all(T.mul(T.conv2d(t, T.constant(w)), weights)), x) <= 1e-4
+            lambda t: T.sum_all(T.mul(T.conv2d(t, w_, b_), weights)), x) <= 1e-4
         assert T.finite_difference_check(
-            lambda t: T.sum_all(T.mul(T.conv2d(T.constant(x), t), weights)), w) <= 1e-4
+            lambda t: T.sum_all(T.mul(T.conv2d(x_, t, b_), weights)), w) <= 1e-4
+        assert T.finite_difference_check(
+            lambda t: T.sum_all(T.mul(T.conv2d(x_, w_, t), weights)), bias) <= 1e-4
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_MAP_CASES)
-    def test_pool_and_bias(self, case):
+    def test_global_avg_pool(self, case):
         b, h, wd, c, _, seed = case
         rng = np.random.default_rng(seed)
-        x, bias = rng.normal(size=(b, h, wd, c)), rng.normal(size=c)
+        x = rng.normal(size=(b, h, wd, c))
         pooled = T.constant(rng.normal(size=(b, c)))
-        weights = T.constant(rng.normal(size=(b, h, wd, c)))
         assert T.finite_difference_check(
             lambda t: T.sum_all(T.mul(T.global_avg_pool(t), pooled)), x) <= 1e-4
-        assert T.finite_difference_check(
-            lambda t: T.sum_all(T.mul(T.add_bias(t, T.constant(bias)), weights)), x) <= 1e-4
-        assert T.finite_difference_check(
-            lambda t: T.sum_all(T.mul(T.add_bias(T.constant(x), t), weights)), bias) <= 1e-4
+
+    def test_conv2d_rejects_bias_shape(self):
+        x, w = T.constant(np.ones((1, 3, 3, 2))), T.constant(np.ones((4, 2, 3, 3)))
+        for bias in (np.ones(3), np.ones((1, 4))):
+            with pytest.raises(DimensionError, match="bias"):
+                T.conv2d(x, w, T.constant(bias))
+
+
+def _closure(fn, name):
+    """The value a closure captured under ``name``."""
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))[name]
 
 
 class TestConvScratch:
@@ -319,29 +357,58 @@ class TestConvScratch:
         """conv2d reuses its patch scratch, so no live graph may read it later."""
         rng = np.random.default_rng(0)
         w0, w1 = rng.normal(size=(4, 2, 3, 3)), rng.normal(size=(3, 4, 3, 3))
+        b0, b1 = rng.normal(size=4), rng.normal(size=3)
         xa, xb = rng.normal(size=(2, 3, 5, 6, 2))
 
         def graph(x):
-            h = T.clip_min(T.conv2d(T.constant(x), T.parameter(w0, name="w0")), 0.0)
-            return T.frobenius_sq(T.conv2d(h, T.parameter(w1, name="w1")))
+            h = T.conv2d(T.constant(x), T.parameter(w0, name="w0"), T.parameter(b0, name="b0"))
+            return T.frobenius_sq(T.conv2d(h, T.parameter(w1, name="w1"),
+                                           T.parameter(b1, name="b1")))
 
         alone = [T.backward(graph(x)) for x in (xa, xb)]
         first = graph(xa)
         # an eval pass at a larger batch grows and overwrites every scratch slot
-        T.clip_min(T.conv2d(T.constant(rng.normal(size=(9, 5, 6, 2))), T.constant(w0)), 0.0)
+        T.conv2d(T.constant(rng.normal(size=(9, 5, 6, 2))), T.constant(w0), T.constant(b0))
         second = graph(xb)
         for root, want in zip((first, second), alone):
             got = T.backward(root)
-            assert got.keys() == want.keys()
+            assert got.keys() == want.keys() == {"w0", "b0", "w1", "b1"}
             assert all(np.array_equal(got[k], want[k]) for k in want)
 
+    def test_weight_gradient_patches_are_node_owned(self, monkeypatch):
+        """A forward whose weight takes a gradient keeps its patches in an
+        array of its own, across blocks and out of every thread's scratch;
+        a forward with a constant weight keeps none."""
+        monkeypatch.setattr(T, "CONV_BLOCK_VALUES", 5 * 6 * 9 * 2 * 3)   # 3 images a block
+        rng = np.random.default_rng(4)
+        x, w, bias = rng.normal(size=(7, 5, 6, 2)), rng.normal(size=(3, 2, 3, 3)), np.zeros(3)
+        scratch = []
 
-def _conv_outputs(x, w, g):
-    """conv2d forward, input gradient and weight gradient under the adjoint g."""
-    xs, ws = T.parameter(x, name="x"), T.parameter(w, name="w")
-    out = T.conv2d(xs, ws)
+        def conv_in_thread():
+            node = T.conv2d(T.constant(x), T.parameter(w, name="w"), T.constant(bias))
+            scratch.extend(vars(T._scratch).values())
+            return node
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            node = pool.submit(conv_in_thread).result()
+        student = T.conv2d(T.constant(x), T.parameter(w, name="w"), T.constant(bias))
+        scratch.extend(vars(T._scratch).values())
+        want = T._patches(x).copy()
+        for n in (node, student):
+            kept = _closure(n._vjp, "kept")
+            assert kept.flags.owndata and kept.flags.c_contiguous
+            assert not any(np.shares_memory(kept, buf) for buf in scratch)
+            assert np.array_equal(kept, want)
+        target = T.conv2d(T.constant(x), T.constant(w), T.parameter(bias, name="b"))
+        assert _closure(target._vjp, "kept") is None
+
+
+def _conv_outputs(x, w, bias, g):
+    """conv2d forward and its input, weight and bias gradients under the adjoint g."""
+    xs, ws, bs = T.parameter(x, name="x"), T.parameter(w, name="w"), T.parameter(bias, name="b")
+    out = T.conv2d(xs, ws, bs)
     grads = T.backward(T.sum_all(T.mul(out, T.constant(g))))   # conv adjoint: exactly g
-    return out.data, grads["x"], grads["w"]
+    return out.data, grads["x"], grads["w"], grads["b"]
 
 
 def _same_bits(a, b):
@@ -357,22 +424,23 @@ class TestConvBlocks:
         b = 2 * (T.CONV_BLOCK_VALUES // (h * wd * 9 * cin)) + 1
         rng = np.random.default_rng(0)
         x, w = rng.normal(size=(b, h, wd, cin)), rng.normal(size=(cout, cin, 3, 3))
-        blocked = T.conv2d(T.constant(x), T.constant(w)).data
+        bias, g = rng.normal(size=cout), rng.normal(size=(b, h, wd, cout))
+        blocked = _conv_outputs(x, w, bias, g)
         monkeypatch.setattr(T, "CONV_BLOCK_VALUES", 2 ** 62)
-        assert _same_bits(blocked, T.conv2d(T.constant(x), T.constant(w)).data)
+        assert all(map(_same_bits, blocked, _conv_outputs(x, w, bias, g)))
 
     def test_threads_keep_their_own_scratch(self):
         """Threads running conv2d forward and backward at once, on different
         inputs, get the bits of a sequential run."""
         rng = np.random.default_rng(1)
-        w = rng.normal(size=(8, 6, 3, 3))
+        w, bias = rng.normal(size=(8, 6, 3, 3)), rng.normal(size=8)
         cases = [(rng.normal(size=(40, 12, 12, 6)), rng.normal(size=(40, 12, 12, 8)))
                  for _ in range(4)]
-        want = [_conv_outputs(x, w, g) for x, g in cases]
+        want = [_conv_outputs(x, w, bias, g) for x, g in cases]
 
         def mismatches(k):
             x, g = cases[k]
-            return sum(not all(map(_same_bits, _conv_outputs(x, w, g), want[k]))
+            return sum(not all(map(_same_bits, _conv_outputs(x, w, bias, g), want[k]))
                        for _ in range(20))
 
         interval = sys.getswitchinterval()
@@ -384,6 +452,93 @@ class TestConvBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert counts == [0] * len(cases)
+
+
+def _unfused_conv2d(x, w):
+    """conv2d as it was before the bias and relu moved into it: blocked
+    forward GEMMs into the output, patches rebuilt by the vjp."""
+    n, h, wd, cin = x.shape
+    cout = w.shape[0]
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, 9 * cin).T
+    out = np.empty((n, h, wd, cout))
+    blocks = -(-n // max(1, T.CONV_BLOCK_VALUES // (h * wd * 9 * cin)))
+    stop = 0
+    for k in range(blocks):
+        start, stop = stop, stop + n // blocks + (k < n % blocks)
+        np.matmul(T._patches(x.data[start:stop]), wmat, out=out[start:stop].reshape(-1, cout))
+
+    def vjp(g):
+        gmat = g.reshape(n * h * wd, cout)
+        gw = (gmat.T @ T._patches(x.data)).reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
+        wflip = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * cout, cin)
+        return T._patches(g.reshape(n, h, wd, cout)) @ wflip, gw
+
+    return T._node("conv2d", out, (x, w), vjp)
+
+
+def _unfused_add_bias(x, b):
+    """The 4-D branch add_bias had before conv2d took the bias."""
+
+    def vjp(g):
+        return g, T._sum_positions(g.reshape((1, -1) + g.shape[2:]))[0]
+
+    return T._node("add_bias", x.data + b.data, (x, b), vjp)
+
+
+def _fused_and_unfused(x, w, bias, g):
+    def run(layer):
+        xs, ws, bs = T.parameter(x, name="x"), T.parameter(w, name="w"), T.parameter(bias, name="b")
+        out = layer(xs, ws, bs)
+        grads = T.backward(T.sum_all(T.mul(out, T.constant(g))))
+        return out.data, grads["x"], grads["w"], grads["b"]
+
+    return run(T.conv2d), run(lambda xs, ws, bs: T.clip_min(
+        _unfused_add_bias(_unfused_conv2d(xs, ws), bs), 0.0))
+
+
+def _with_zeros(rng, a, signed=True):
+    """``a`` with about a quarter of its entries set to +0.0 or -0.0."""
+    zeros = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0) if signed else 0.0
+    return np.where(rng.random(a.shape) < 0.25, zeros, a)
+
+
+# (h, w, Cin, Cout, batch mode, seed): the batch is 1-4 images, or one image
+# short of, at, or one past one or two blocks' worth under CONV_BLOCK_VALUES
+_FUSED_CASES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),
+                         st.integers(1, 4), st.sampled_from(["small", -1, 0, 1]),
+                         st.integers(0, 2**32 - 1))
+
+
+class TestFusedConvBits:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_FUSED_CASES)
+    def test_same_bits_as_unfused_chain(self, case):
+        """conv2d(x, w, b) against clip_min(add_bias(conv(x, w), b), 0.0) as
+        three tape ops: forward and all three gradients, bit for bit, with
+        signed zeros in every operand, exact zeros before the relu (zero
+        images under zero biases) and batches at the block bound."""
+        h, wd, cin, cout, mode, seed = case
+        rng = np.random.default_rng(seed)
+        per_block = T.CONV_BLOCK_VALUES // (h * wd * 9 * cin)
+        n = int(rng.integers(1, 5)) if mode == "small" else \
+            per_block * int(rng.integers(1, 3)) + mode
+        x = _with_zeros(rng, rng.normal(size=(n, h, wd, cin)))
+        x[rng.random(n) < 0.3] = 0.0
+        w = _with_zeros(rng, rng.normal(size=(cout, cin, 3, 3)))
+        bias = _with_zeros(rng, rng.normal(size=cout))
+        g = _with_zeros(rng, rng.normal(size=(n, h, wd, cout)), signed=False)
+        fused, unfused = _fused_and_unfused(x, w, bias, g)
+        assert [_same_bits(a, b) for a, b in zip(fused, unfused)] == [True] * 4
+
+    def test_nan_input(self):
+        """NaN before the relu gives 0 and masks the adjoint, as clip_min does."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3, 3, 1))
+        x[0, 1, 1, 0] = np.nan
+        w, bias = rng.normal(size=(2, 1, 3, 3)), np.array([0.0, -0.0])
+        fused, unfused = _fused_and_unfused(x, w, bias, rng.normal(size=(2, 3, 3, 2)))
+        assert all(map(_same_bits, fused, unfused))
+        assert not np.isnan(fused[0]).any()
 
 
 class TestClipMinForward:

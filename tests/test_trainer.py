@@ -359,7 +359,7 @@ class TestTrainingContracts:
     def test_empty_labeled_split_rejected(self):
         splits = small_splits()
         empty = splits.labeled.subset(np.array([], dtype=int))
-        with pytest.raises((ConfigError, Exception)):
+        with pytest.raises(ConfigError):
             TR.init_trainer(quick_config(), ARCH, empty)
 
     def test_self_training_adds_pseudo_labels(self):
