@@ -413,6 +413,9 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a ``save_dataset`` file. Any malformed header, block length,
+    non-finite input, label or trailing byte raises ``FormatError`` at its
+    byte offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 or blob[:4] != _MAGIC:
@@ -430,7 +433,12 @@ def load_dataset(path) -> Dataset:
     n_input = n * math.prod(dims)
     if len(blob) < off + 8 * n_input:
         raise FormatError("truncated input block", offset=len(blob))
-    inputs = np.frombuffer(blob, dtype="<f8", count=n_input, offset=off).reshape((n,) + dims)
+    inputs = np.frombuffer(blob, dtype="<f8", count=n_input, offset=off)
+    bad = np.flatnonzero(~np.isfinite(inputs))
+    if bad.size:
+        raise FormatError(f"input value {inputs[bad[0]]} is not finite",
+                          offset=off + 8 * int(bad[0]))
+    inputs = inputs.reshape((n,) + dims)
     off += 8 * n_input
     if multilabel:
         if len(blob) < off + n * k:
@@ -457,14 +465,25 @@ def load_dataset(path) -> Dataset:
 
 
 def load_csv_dataset(path) -> Dataset:
-    """Headerless CSV import for vector data: feature columns then the label."""
+    """Headerless CSV import for vector data: feature columns then the label.
+
+    Features must be finite and labels non-negative whole numbers; anything
+    else raises ``FormatError`` naming the row."""
     try:
         table = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"malformed CSV: {exc}") from None
     if table.shape[1] < 2:
         raise FormatError("CSV needs at least one feature column and a label column")
-    labels = table[:, -1].astype(int)
+    features, raw_labels = table[:, :-1], table[:, -1]
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise FormatError(f"row {row + 1} feature {col + 1} is {features[row, col]}, not finite")
+    bad = np.flatnonzero(~np.isfinite(raw_labels) | (raw_labels != np.round(raw_labels)))
+    if bad.size:
+        raise FormatError(f"row {bad[0] + 1} label {raw_labels[bad[0]]} is not a whole number")
+    labels = raw_labels.astype(int)
     if (labels < 0).any():
         raise FormatError("labels must be non-negative class indices")
-    return Dataset(table[:, :-1], labels, int(labels.max()) + 1)
+    return Dataset(features, labels, int(labels.max()) + 1)

@@ -449,6 +449,8 @@ def emit_reports(report: ExperimentReport, outdir) -> None:
         "wall_time_s": report.wall_time_s,
         "cells": len(report.rows),
         "failures": [{"run": r.run_name, "error": r.error} for r in report.rows if r.error],
+        "flags": {r.run_name: r.metrics.flags for r in report.rows
+                  if not r.error and r.metrics.flags},
         "config_echo": report.config.source_text,
     }
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -30,8 +30,8 @@ class MetricsReport:
     flags: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        """Fields in declaration order, without the flags; degenerate
-        per-class AUCs serialize as null."""
+        """Fields in declaration order, without the flags (``report.json``
+        keeps those); degenerate per-class AUCs serialize as null."""
         record = asdict(self)
         del record["flags"]
         return json.dumps(record)

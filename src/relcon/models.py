@@ -24,19 +24,14 @@ so ``pre_pool`` features come flattened in (y, x, c) order.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError, FormatError, UnsupportedTapError
+from .errors import ContractError, DimensionError, UnsupportedTapError
 
 Params = dict[str, np.ndarray]
-
-_MAGIC = b"RCPM"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -185,67 +180,3 @@ def tap_features(out: ForwardOutput, where: str = "post_pool") -> T.Tensor:
         return T.reshape(out.features_pre_pool, (b, out.features_pre_pool.data.size // b))
     raise ContractError(f"unknown tap {where!r}")
 
-
-# ---------------------------------------------------------------------------
-# flat binary parameter files
-
-
-def save_params(params: Params, path) -> None:
-    """Write parameters: magic, version u32, count u32, then per tensor
-    (name length u16, name bytes, ndim u8, dims u32 each, f64 data LE)."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(params)))
-        for name, value in params.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", value.ndim))
-            fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-
-
-def load_params(path) -> Params:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}", offset=0)
-    if len(blob) < 12:
-        raise FormatError("truncated header", offset=len(blob))
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != _VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    off = 12
-    params: Params = {}
-    for _ in range(count):
-        try:
-            (name_len,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            if len(blob) < off + name_len:
-                raise struct.error
-            try:
-                name = blob[off:off + name_len].decode("utf-8")
-            except UnicodeDecodeError:
-                raise FormatError("parameter name is not valid UTF-8", offset=off) from None
-            off += name_len
-            shape_off = off
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            dims = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            size = math.prod(dims)
-            if len(blob) < off + 8 * size:
-                raise struct.error
-            data = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
-            off += 8 * size
-        except struct.error:
-            raise FormatError("truncated tensor record", offset=off) from None
-        try:
-            # too many dims, or an extent product past numpy's index range
-            params[name] = np.ascontiguousarray(data.reshape(dims))
-        except ValueError:
-            raise FormatError(f"numpy cannot hold a tensor of shape {dims}",
-                              offset=shape_off) from None
-    if off != len(blob):
-        raise FormatError(f"{len(blob) - off} bytes after the last tensor record", offset=off)
-    return params

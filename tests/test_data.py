@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcon import data as D
-from relcon import models
 from relcon.errors import ContractError, DimensionError, FormatError, SplitError
 
 
@@ -395,29 +394,38 @@ class TestFileIO:
         assert ds.labels.tolist() == [0, 1, 1, 0]
         assert ds.num_classes == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_feature(self, tmp_path, value):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.5,2.5,0\n3.5,{value},1\n")
+        with pytest.raises(FormatError, match="row 2 feature 2"):
+            D.load_csv_dataset(path)
+
+    @pytest.mark.parametrize("label", ["0.7", "1.9", "-0.5", "nan", "inf"])
+    def test_csv_labels_must_be_whole_numbers(self, tmp_path, label):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.5,2.5,0\n3.5,4.5,{label}\n0.5,0.5,1\n")
+        with pytest.raises(FormatError, match=f"row 2 label {label} is not a whole number"):
+            D.load_csv_dataset(path)
+
 
 @pytest.fixture(scope="module")
 def clean_files(tmp_path_factory):
-    """A params file, a single-label and a multi-label dataset file, small
-    enough that headers and label blocks are a large share of their bytes."""
+    """A single-label and a multi-label dataset file, small enough that
+    headers and label blocks are a large share of their bytes."""
     tmp = tmp_path_factory.mktemp("corrupt")
     rng = np.random.default_rng(31)
-    arch = models.ArchSpec(input_shape=(2,), num_classes=2, hidden=(3,))
-    models.save_params(models.init_params(arch, rng), tmp / "params.bin")
     D.save_dataset(D.gen_two_moons(6, 0.1, rng), tmp / "single.bin")
     multi = D.Dataset(rng.normal(size=(3, 1, 2, 2)), rng.integers(0, 2, size=(3, 3)), 3)
     D.save_dataset(multi, tmp / "multi.bin")
     return {name: (tmp / f"{name}.bin").read_bytes()
-            for name in ("params", "single", "multi")}, tmp
+            for name in ("single", "multi")}, tmp
 
 
-def _load_checked(name: str, path):
-    """Load a file and check that what loaded is well formed."""
-    if name == "params":
-        params = models.load_params(path)
-        assert all(v.dtype == np.float64 for v in params.values())
-        return
+def _load_checked(path):
+    """Load a dataset file and check that what loaded is well formed."""
     ds = D.load_dataset(path)
+    assert np.isfinite(ds.inputs).all()
     if ds.multilabel:
         assert ds.labels.shape == (len(ds), ds.num_classes)
         assert np.isin(ds.labels, (0, 1)).all()
@@ -427,7 +435,7 @@ def _load_checked(name: str, path):
 
 class TestCorruptFiles:
     @settings(max_examples=1500, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(["params", "single", "multi"]), data=st.data())
+    @given(name=st.sampled_from(["single", "multi"]), data=st.data())
     def test_one_byte_change_or_truncation_loads_or_raises_format_error(
             self, clean_files, name, data):
         blobs, tmp = clean_files
@@ -440,12 +448,12 @@ class TestCorruptFiles:
         path = tmp / f"mutated-{name}.bin"
         path.write_bytes(bytes(blob))
         try:
-            _load_checked(name, path)
+            _load_checked(path)
         except FormatError:
             pass
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(["params", "single", "multi"]),
+    @given(name=st.sampled_from(["single", "multi"]),
            extra=st.binary(min_size=1, max_size=64))
     def test_appended_bytes_raise_format_error_at_first_extra_byte(
             self, clean_files, name, extra):
@@ -453,19 +461,33 @@ class TestCorruptFiles:
         path = tmp / f"appended-{name}.bin"
         path.write_bytes(blobs[name] + extra)
         with pytest.raises(FormatError) as info:
-            _load_checked(name, path)
+            _load_checked(path)
         assert info.value.offset == len(blobs[name])
 
-    @pytest.mark.parametrize("kind", ["params", "dataset"])
-    def test_garbage_after_a_small_file(self, tmp_path, kind):
-        path = tmp_path / f"{kind}.bin"
-        if kind == "params":
-            models.save_params({"w": np.zeros(3)}, path)
-        else:
-            D.save_dataset(D.gen_two_moons(4, 0.1, np.random.default_rng(0)), path)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["single", "multi"]), data=st.data(),
+           negative=st.booleans(), mantissa=st.integers(0, 2 ** 52 - 1))
+    def test_non_finite_input_raises_at_its_offset(self, clean_files, name, data,
+                                                   negative, mantissa):
+        """Any infinity or NaN (payload and sign included) in the input block."""
+        blobs, tmp = clean_files
+        blob = bytearray(blobs[name])
+        count = D.load_dataset(tmp / f"{name}.bin").inputs.size
+        index = data.draw(st.integers(0, count - 1), label="index")
+        offset = 29 + 8 * index
+        bits = (negative << 63) | (0x7FF << 52) | mantissa
+        blob[offset:offset + 8] = bits.to_bytes(8, "little")
+        path = tmp / f"non-finite-{name}.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="not finite") as info:
+            D.load_dataset(path)
+        assert info.value.offset == offset
+
+    def test_garbage_after_a_small_file(self, tmp_path):
+        path = tmp_path / "dataset.bin"
+        D.save_dataset(D.gen_two_moons(4, 0.1, np.random.default_rng(0)), path)
         size = path.stat().st_size
         with open(path, "ab") as fh:
             fh.write(b"garbage")
-        load = models.load_params if kind == "params" else D.load_dataset
         with pytest.raises(FormatError, match=f"7 bytes after .* offset {size}\\)"):
-            load(path)
+            D.load_dataset(path)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcon import cli
+from relcon import cli, selftest
 from relcon import experiments as E
 from relcon.errors import ConfigError, ContractError
 from relcon.trainer import CurvePoint
@@ -283,6 +283,18 @@ class TestRunExperiment:
                                      "accuracy", "f1", "per_class_auc"]
         meta = json.loads((tmp_path / "report.json").read_text())
         assert meta["cells"] == 4
+        assert meta["flags"] == {}
+
+    def test_report_json_keeps_metric_flags(self, report, tmp_path):
+        note = "class 1: no positives; sensitivity and F1 reported as 0"
+        row = report.rows[1]
+        flagged = dataclasses.replace(row, metrics=dataclasses.replace(row.metrics, flags=[note]))
+        rows = [report.rows[0], flagged, *report.rows[2:]]
+        E.emit_reports(dataclasses.replace(report, rows=rows), tmp_path)
+        meta = json.loads((tmp_path / "report.json").read_text())
+        assert meta["flags"] == {row.run_name: [note]}
+        metrics = json.loads((tmp_path / "runs" / row.run_name / "metrics.json").read_text())
+        assert "flags" not in metrics
 
     def test_compare_table(self, report, tmp_path):
         E.emit_reports(report, tmp_path)
@@ -553,7 +565,7 @@ class TestCli:
     def test_selftest_subcommand(self):
         proc = self.run_cli("selftest")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.count("[PASS]") >= 7
+        assert proc.stdout.count("[PASS]") == len(selftest.ALL_CHECKS)
         assert "[FAIL]" not in proc.stdout
 
 

@@ -1,11 +1,11 @@
-"""Model zoo: initialization, dropout contract, taps, serialization."""
+"""Model zoo: initialization, dropout contract, taps."""
 
 import numpy as np
 import pytest
 
 from relcon import losses, models
 from relcon import tensor as T
-from relcon.errors import ContractError, DimensionError, FormatError, UnsupportedTapError
+from relcon.errors import ContractError, DimensionError, UnsupportedTapError
 
 MLP = models.ArchSpec(input_shape=(4,), num_classes=3, hidden=(6, 5), dropout_rate=0.2)
 CONV = models.ArchSpec(input_shape=(1, 8, 8), num_classes=2, conv_channels=(3, 4),
@@ -168,50 +168,6 @@ class TestEndToEndGradients:
             return losses.weighted_cross_entropy(logits, labels)
 
         assert T.finite_difference_check(f, rng.normal(size=(2, 8, 8, 1))) <= 1e-4
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        params = models.init_params(CONV, np.random.default_rng(21))
-        path = tmp_path / "params.bin"
-        models.save_params(params, path)
-        back = models.load_params(path)
-        assert list(back) == list(params)
-        assert all(np.array_equal(params[k], back[k]) for k in params)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="magic"):
-            models.load_params(path)
-
-    def test_truncated(self, tmp_path):
-        params = models.init_params(MLP, np.random.default_rng(22))
-        path = tmp_path / "params.bin"
-        models.save_params(params, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(FormatError, match="offset"):
-            models.load_params(path)
-
-    def test_non_utf8_name(self, tmp_path):
-        params = models.init_params(MLP, np.random.default_rng(23))
-        path = tmp_path / "params.bin"
-        models.save_params(params, path)
-        blob = bytearray(path.read_bytes())
-        blob[14] = 0xFF   # first byte of the first parameter name
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="UTF-8"):
-            models.load_params(path)
-
-    def test_ndim_beyond_numpy_limit(self, tmp_path):
-        path = tmp_path / "params.bin"
-        models.save_params({"w": np.zeros(100)}, path)
-        blob = bytearray(path.read_bytes())
-        blob[15] = 65   # the ndim byte of the one-letter name's record
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="offset 15"):
-            models.load_params(path)
 
 
 class TestArchSpec:

@@ -14,12 +14,17 @@ are read from ``getrusage(RUSAGE_CHILDREN)`` around it.
 The file keeps one summary per workload: for each side the ops attempted and
 failed, whether every output check passed, and the median and quartiles
 (numpy linear percentiles 25 and 75) of every metric and of ``ru_minflt``,
-plus the number of pairs in which the change did better on each metric; the
-direction of "better" comes from the change's ``BENCHMARK.json``. Untraced
-pairs summarise the end-to-end metrics under ``summary``; with ``--trace 1``
-the per-layer metrics go under ``traced_rounds``. Every run's result is kept
-under ``runs``. Running again for a workload replaces its summary and runs
-of the same ``--trace`` and keeps the rest of the file.
+plus the number of pairs in which the change did better on each metric and
+the number of ties, which count for neither side; the direction of "better"
+comes from the change's ``BENCHMARK.json``. For each end-to-end metric,
+``worse_by`` holds the change median's shift from the parent median,
+relative to the parent median and signed so that positive is worse, next to
+that metric's ``bound``, and ``within_bound`` says whether the shift is at
+most the bound. Untraced pairs summarise the end-to-end metrics under
+``summary``; with ``--trace 1`` the per-layer metrics go under
+``traced_rounds``. Every run's result is kept under ``runs``. Running again
+for a workload replaces its summary and runs of the same ``--trace`` and
+keeps the rest of the file.
 """
 
 from __future__ import annotations
@@ -66,19 +71,36 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per side medians and quartiles, and the pairs the change won."""
+def worse_shift(parent: float, change: float, better: str) -> float:
+    """How far ``change`` is worse than a positive ``parent``, relative to
+    ``parent``; negative when it is better."""
+    shift = (change - parent) if better == "lower" else (parent - change)
+    return shift / parent
+
+
+def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per side medians and quartiles, the pairs the change won and tied,
+    and the change median's relative worsening against each bound."""
     by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
                for side in SIDES}
     out: dict = {"pairs": len(by_side["change"]), "seconds": runs[0]["seconds"]}
     names = [name for name in by_side["parent"][0]["result"]["metrics"] if name in better]
-    won = {}
+    won, tied, worse_by = {}, {}, {}
     for name in names:
         values = {side: [r["result"]["metrics"][name]["value"] for r in by_side[side]]
                   for side in SIDES}
         sign = 1.0 if better[name] == "higher" else -1.0
-        won[name] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        pairs = list(zip(values["parent"], values["change"]))
+        won[name] = sum(sign * (c - p) > 0 for p, c in pairs)
+        tied[name] = sum(c == p for p, c in pairs)
+        if name in bounds:
+            shift = worse_shift(float(np.median(values["parent"])),
+                                float(np.median(values["change"])), better[name])
+            worse_by[name] = {"shift": shift, "bound": bounds[name],
+                              "within_bound": shift <= bounds[name]}
     out["pairs_won_by_change"] = won
+    out["pairs_tied"] = tied
+    out["worse_by"] = worse_by
     for side, side_runs in by_side.items():
         results = [r["result"] for r in side_runs]
         entry: dict = {"failed_ops": sum(r["failed"] for r in results),
@@ -117,6 +139,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     for pair in range(args.pairs):
@@ -145,12 +168,17 @@ def main(argv=None) -> int:
         "see its docstring for the pairing, ru_minflt and quartiles")
     bench["environment"] = environment()
     key = "traced_rounds" if args.trace else "summary"
-    bench.setdefault(key, {})[args.workload] = summarise(runs, better)
+    summary = summarise(runs, better, bounds)
+    bench.setdefault(key, {})[args.workload] = summary
     kept = [r for r in bench.get("runs", [])
             if (r["workload"], r["trace"]) != (args.workload, args.trace)]
     bench["runs"] = kept + runs
     path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
+    for name, entry in summary["worse_by"].items():
+        verdict = "within" if entry["within_bound"] else "OUTSIDE"
+        print(f"{name}: change median worse by {entry['shift']:+.1%}, {verdict} "
+              f"its bound {entry['bound']:.0%}")
     return 0
 
 
