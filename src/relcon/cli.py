@@ -10,7 +10,7 @@ What a run computes is set by its config file alone, which ``report.json``
 echoes with its sha256. ``run`` takes two more flags that leave its
 results unchanged: ``--out`` writes the run directory somewhere other than
 the config's ``[output] dir``, and ``--parallel N`` runs up to N sweep
-cells concurrently.
+cells concurrently. A bad config or an unreadable dataset exits with status 2.
 """
 
 from __future__ import annotations
@@ -20,12 +20,16 @@ import sys
 from pathlib import Path
 
 from . import experiments, selftest
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 
 def _cmd_run(args) -> int:
     cfg = experiments.parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-    report = experiments.run_experiment(cfg, parallel=args.parallel)
+    try:
+        report = experiments.run_experiment(cfg, parallel=args.parallel)
+    except (FormatError, OSError) as exc:
+        print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     outdir = args.out or cfg.output.dir
     experiments.emit_reports(report, outdir)
     print(f"wrote {len(report.rows)} rows to {outdir}/results.csv "
@@ -37,7 +41,7 @@ def _cmd_run(args) -> int:
 
 
 def _print_table(rows: list[dict], columns: list[str]) -> None:
-    widths = {c: max(len(c), *(len(_cell(r, c)) for r in rows)) for c in columns}
+    widths = {c: max([len(c), *(len(_cell(r, c)) for r in rows)]) for c in columns}
     print("  ".join(c.ljust(widths[c]) for c in columns))
     for r in rows:
         print("  ".join(_cell(r, c).ljust(widths[c]) for c in columns))
@@ -57,11 +61,9 @@ def _cmd_report(args) -> int:
     summary = Path(args.dir) / "summary.csv"
     if summary.exists():
         print(summary.read_text(encoding="utf-8"))
-    variants = {r["variant"] for r in rows}
-    baseline = args.baseline if args.baseline in variants else None
-    if baseline:
-        print(f"deltas vs {baseline}:")
-        table = experiments.compare_table(rows, baseline)
+    if args.baseline in {r["variant"] for r in rows}:
+        print(f"deltas vs {args.baseline}:")
+        table = experiments.compare_table(rows, args.baseline)
         _print_table(table, ["variant", "beta", "labeled_fraction", "runs",
                              *(f"d_{m}" for m in experiments._METRIC_NAMES)])
     return 0

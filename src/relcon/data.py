@@ -24,6 +24,7 @@ from .errors import ContractError, DimensionError, FormatError, SplitError
 
 _MAGIC = b"RCDS"
 _VERSION = 1
+_MAX_CLASS_INDEX = 0xFFFF   # the largest class index a u16 label holds
 
 
 @dataclass
@@ -467,8 +468,8 @@ def load_dataset(path) -> Dataset:
 def load_csv_dataset(path) -> Dataset:
     """Headerless CSV import for vector data: feature columns then the label.
 
-    Features must be finite and labels non-negative whole numbers; anything
-    else raises ``FormatError`` naming the row."""
+    Features must be finite and labels whole numbers in [0, 65535] (a dataset
+    file's u16 label); anything else raises ``FormatError`` naming the row."""
     try:
         table = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
@@ -480,10 +481,10 @@ def load_csv_dataset(path) -> Dataset:
     if bad.size:
         row, col = bad[0]
         raise FormatError(f"row {row + 1} feature {col + 1} is {features[row, col]}, not finite")
-    bad = np.flatnonzero(~np.isfinite(raw_labels) | (raw_labels != np.round(raw_labels)))
+    bad = np.flatnonzero(~((raw_labels >= 0) & (raw_labels <= _MAX_CLASS_INDEX)
+                           & (raw_labels == np.round(raw_labels))))
     if bad.size:
-        raise FormatError(f"row {bad[0] + 1} label {raw_labels[bad[0]]} is not a whole number")
+        raise FormatError(f"row {bad[0] + 1} label {raw_labels[bad[0]]:g} is not a whole "
+                          f"number in [0, {_MAX_CLASS_INDEX}]")
     labels = raw_labels.astype(int)
-    if (labels < 0).any():
-        raise FormatError("labels must be non-negative class indices")
     return Dataset(features, labels, int(labels.max()) + 1)

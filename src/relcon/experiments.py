@@ -10,8 +10,8 @@ their types and their defaults are the fields of its dataclasses (see
 rejected with their line number. Missing keys fall back to the library
 defaults (EMA decay 0.99, relation weight 1.0, 12+36 batches, dropout 0.2).
 
-Running an experiment iterates the sweep cross-product times the seed
-list, trains each cell, evaluates on the held-out test split, and writes
+Running an experiment builds the dataset once, then splits it, trains and
+evaluates on the held-out test split in each cell of the sweep, and writes
 ``results.csv``, ``summary.csv``, per-run ``curves.csv``/``metrics.json``,
 and optional relation/distance matrix dumps, every CSV through one writer
 (``_csv_text``). Outputs are deterministic functions of the config, so
@@ -75,8 +75,8 @@ class DatasetSection:
             raise ConfigError(f"{self.generator} need n >= 2", key="n")
         if self.generator in ("blobs", "multiblobs") and self.classes < 2:
             raise ConfigError("blob generators need at least 2 classes", key="classes")
-        if self.generator == "blobs" and not self.center_jitter >= 0:
-            raise ConfigError("center_jitter must be >= 0", key="center_jitter")
+        if self.generator == "blobs" and not 0 <= 2 * self.center_jitter * self.size < math.inf:
+            raise ConfigError("center_jitter must be finite and >= 0", key="center_jitter")
         if self.generator == "blobs" and not 0 < self.imbalance_ratio < float("inf"):
             raise ConfigError("imbalance_ratio must be finite and > 0", key="imbalance_ratio")
         if self.generator == "blobs":
@@ -301,10 +301,12 @@ def build_dataset(section: DatasetSection) -> D.Dataset:
 
 
 def arch_for(dataset: D.Dataset, model: ModelSection) -> ArchSpec:
-    sample_shape = dataset.inputs.shape[1:]
-    return ArchSpec(input_shape=tuple(sample_shape), num_classes=dataset.num_classes,
-                    hidden=model.hidden, conv_channels=model.conv_channels,
-                    dropout_rate=model.dropout_rate)
+    shape = dataset.inputs.shape[1:]
+    try:
+        return ArchSpec(input_shape=shape, num_classes=dataset.num_classes,
+                        **dataclasses.asdict(model))
+    except ContractError as exc:
+        raise ConfigError(f"[train] {exc} (dataset samples of shape {shape})") from None
 
 
 def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, float, float, int]]:
@@ -326,10 +328,8 @@ def _split_seed(base_seed: int, run_seed: int) -> int:
     return base_seed * 1_000_003 + run_seed
 
 
-def run_cell(cfg: ExperimentConfig, variant: str, beta: float, fraction: float,
-             seed: int) -> ResultRow:
-    dataset = build_dataset(cfg.dataset)
-    arch = arch_for(dataset, cfg.model)
+def run_cell(cfg: ExperimentConfig, dataset: D.Dataset, arch: ArchSpec, variant: str,
+             beta: float, fraction: float, seed: int) -> ResultRow:
     split_spec = dataclasses.replace(cfg.split, labeled_fraction=fraction,
                                      seed=_split_seed(cfg.split.seed, seed))
     splits = D.split_labeled(dataset, split_spec)
@@ -340,12 +340,11 @@ def run_cell(cfg: ExperimentConfig, variant: str, beta: float, fraction: float,
                      result.curves, result.relation_dumps)
 
 
-def _run_cell_safe(args) -> ResultRow:
-    cfg, variant, beta, fraction, seed = args
+def _run_cell_safe(job) -> ResultRow:
     try:
-        return run_cell(cfg, variant, beta, fraction, seed)
+        return run_cell(*job)
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded per-row
-        return ResultRow(variant, beta, fraction, seed, None,
+        return ResultRow(*job[-4:], None,
                          error=f"{type(exc).__name__}: {exc}",
                          error_traceback=traceback.format_exc())
 
@@ -353,12 +352,15 @@ def _run_cell_safe(args) -> ResultRow:
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport:
     """Train every sweep cell and collect rows in deterministic cell order.
 
-    With ``parallel > 1`` the cells run in a process pool of at most one
-    worker per cell; a fork pool starts all its workers at the first submit.
+    Each job carries the one dataset and architecture, built first. With
+    ``parallel > 1`` the cells run in a process pool of at most one worker
+    per cell; a fork pool starts all its workers at the first submit.
     """
     started = time.perf_counter()
     cells = sweep_cells(cfg)
-    jobs = [(cfg, *cell) for cell in cells]
+    dataset = build_dataset(cfg.dataset)
+    arch = arch_for(dataset, cfg.model)
+    jobs = [(cfg, dataset, arch, *cell) for cell in cells]
     workers = min(parallel, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -471,27 +473,28 @@ def load_results_csv(path) -> list[dict]:
     return rows
 
 
+def _mean_metrics(rows: list[dict]) -> np.ndarray:
+    return np.array([[r[m] for m in _METRIC_NAMES] for r in rows]).mean(axis=0)
+
+
 def compare_table(rows: list[dict], baseline_variant: str) -> list[dict]:
     """Per-(variant, beta, fraction) mean metrics as deltas vs the baseline
-    variant at the same labeled fraction, sorted by AUC delta (descending)."""
-    base_rows = [r for r in rows if r["variant"] == baseline_variant]
-    if not base_rows:
+    variant at the same labeled fraction, sorted by AUC delta (descending).
+    Failed cells, whose AUC is NaN, are left out."""
+    if not any(r["variant"] == baseline_variant for r in rows):
         raise ContractError(f"baseline variant {baseline_variant!r} not in results")
-    base_by_frac: dict[float, np.ndarray] = {}
-    for frac in {r["labeled_fraction"] for r in base_rows}:
-        vals = np.array([[r[m] for m in _METRIC_NAMES]
-                         for r in base_rows if r["labeled_fraction"] == frac])
-        base_by_frac[frac] = vals.mean(axis=0)
-
     groups: dict[tuple, list[dict]] = {}
+    base: dict[float, list[dict]] = {}
     for r in rows:
-        groups.setdefault((r["variant"], r["beta"], r["labeled_fraction"]), []).append(r)
+        if not math.isnan(r["auc"]):
+            groups.setdefault((r["variant"], r["beta"], r["labeled_fraction"]), []).append(r)
+            if r["variant"] == baseline_variant:
+                base.setdefault(r["labeled_fraction"], []).append(r)
     out = []
     for (variant, beta, frac), members in groups.items():
-        if frac not in base_by_frac:
+        if frac not in base:
             continue
-        vals = np.array([[r[m] for m in _METRIC_NAMES] for r in members]).mean(axis=0)
-        delta = vals - base_by_frac[frac]
+        delta = _mean_metrics(members) - _mean_metrics(base[frac])
         entry = {"variant": variant, "beta": beta, "labeled_fraction": frac,
                  "runs": len(members)}
         entry.update({f"d_{m}": float(d) for m, d in zip(_METRIC_NAMES, delta)})

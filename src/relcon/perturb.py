@@ -51,8 +51,8 @@ class PerturbConfig:
 
     def __post_init__(self):
         # the range checks are written so that NaN fails them
-        if not (self.rotation_deg_max >= 0 and self.translate_frac_max >= 0):
-            raise ContractError("perturbation magnitudes must be >= 0")
+        if not (0 <= self.rotation_deg_max < np.inf and 0 <= self.translate_frac_max < np.inf):
+            raise ContractError("perturbation magnitudes must be finite and >= 0")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ContractError("flip_prob must be in [0, 1]")
         if not (self.noise_variance >= 0 and self.noise_clip >= 0):

@@ -36,12 +36,19 @@ the input-gradient product takes its weight in another layout, for which
 OpenBLAS picks a small-matrix kernel with other rounding under 10^6
 multiply-adds, so blocks of it would change bits when a layer has few
 input channels. A vjp computes no gradient for an operand that takes none.
+
+Every GEMM in relcon runs here. Importing this module sets numpy's bundled
+OpenBLAS (where found) to one thread, whatever the environment asks for, so
+results do not depend on it; forked sweep workers inherit the setting. A
+program that changes the count after it imports relcon is outside this guarantee.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +56,22 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 Array = np.ndarray
+
+
+def _one_blas_thread() -> None:
+    """Set the OpenBLAS that numpy bundles to one thread, if it is found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        return
+
+
+_one_blas_thread()
 
 
 def _as_buffer(values) -> Array:

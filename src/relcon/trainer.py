@@ -33,22 +33,15 @@ counted on each sample's id and view, so recomputation or extra reads
 never shift unrelated draws. An epoch's views are drawn a group of
 consecutive batches at a time, before the group's first step, each row
 still under its own batch's key.
-
-Training and prediction run BLAS on one thread (``_one_blas_thread``):
-the last bits of a weight gradient depend on OpenBLAS's thread count, and
-parallel sweep cells would otherwise oversubscribe the cores.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -380,28 +373,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-@functools.cache
-def _blas_thread_setter() -> Callable[[int], None] | None:
-    """The thread-count setter of the OpenBLAS that numpy bundles, or None
-    where numpy ships no such library or the library lacks the symbol."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
-        try:
-            return ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Run BLAS on one thread, whatever ``OPENBLAS_NUM_THREADS`` says, so
-    results do not depend on the thread count; a forked worker inherits the
-    setting. Does nothing where the setter is not found."""
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
-
-
 def predict_probs(arch: ArchSpec, params: Params, x: np.ndarray, multilabel: bool,
                   chunk: int = 256) -> np.ndarray:
     """Deterministic eval-mode probabilities, computed in chunks of at most
@@ -419,7 +390,6 @@ def predict_probs(arch: ArchSpec, params: Params, x: np.ndarray, multilabel: boo
     are joined in chunk order, so the output does not depend on the thread
     count. A one-chunk call runs on the caller alone.
     """
-    _one_blas_thread()
     starts = range(0, x.shape[0], chunk)
     outs: list[np.ndarray | None] = [None] * len(starts)
     unclaimed = iter(range(len(starts)))
@@ -594,7 +564,6 @@ def _self_training_pool(state: TrainerState, splits: Splits) -> Dataset:
 def train_epoch(state: TrainerState, splits: Splits,
                 probe: Callable[[dict], None] | None = None) -> CurvePoint:
     """Run one epoch (state is advanced in place) and return its curve point."""
-    _one_blas_thread()
     cfg = state.config
     epoch = state.epoch
     if epoch >= cfg.total_epochs:

@@ -49,14 +49,26 @@ def test_worse_by_against_bounds():
     out = bench_pairs.summarise(RUNS, BETTER, BOUNDS)
     # samples_per_s medians 100 -> 90: 10% worse, within 25%
     # peak_rss_mb medians 50 -> 54.5: 9% worse, within 10%
+    # parent spreads: samples_per_s (102.5 - 97.5) / 100 = 5%, peak_rss_mb 0
     assert out["worse_by"]["samples_per_s"] == {"shift": pytest.approx(0.10), "bound": 0.25,
-                                                "within_bound": True}
+                                                "within_bound": True,
+                                                "parent_spread": pytest.approx(0.05),
+                                                "resolved": True}
     assert out["worse_by"]["peak_rss_mb"]["shift"] == pytest.approx(0.09)
     assert out["worse_by"]["peak_rss_mb"]["within_bound"]
     assert "tensor.nodes" not in out["worse_by"]   # a per-layer metric has no bound
     tight = bench_pairs.summarise(RUNS, BETTER, {"peak_rss_mb": 0.05})
     assert tight["worse_by"] == {"peak_rss_mb": {"shift": pytest.approx(0.09), "bound": 0.05,
-                                                 "within_bound": False}}
+                                                 "within_bound": False, "parent_spread": 0.0,
+                                                 "resolved": True}}
+
+
+def test_spread_wider_than_bound_is_unresolved():
+    out = bench_pairs.summarise(RUNS, BETTER, {"samples_per_s": 0.04, "peak_rss_mb": 0.0})
+    # samples_per_s: the parent's 5% spread exceeds a 4% bound; a spread of 0 meets a bound of 0
+    assert out["worse_by"]["samples_per_s"]["parent_spread"] == pytest.approx(0.05)
+    assert not out["worse_by"]["samples_per_s"]["resolved"]
+    assert out["worse_by"]["peak_rss_mb"]["resolved"]
 
 
 def test_side_entries():

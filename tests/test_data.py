@@ -1,6 +1,8 @@
 """Dataset generators, splitting, batching, and file IO."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -407,6 +409,27 @@ class TestFileIO:
         path.write_text(f"1.5,2.5,0\n3.5,4.5,{label}\n0.5,0.5,1\n")
         with pytest.raises(FormatError, match=f"row 2 label {label} is not a whole number"):
             D.load_csv_dataset(path)
+
+    @pytest.mark.parametrize("label, shown", [("1e12", "1e+12"), ("1e300", "1e+300"),
+                                              ("65536", "65536"), ("-1", "-1")])
+    def test_csv_labels_must_fit_the_label_field(self, tmp_path, label, shown):
+        """Class indices above 65535 (the largest a dataset file's u16 label
+        holds) are rejected by row, before any cast that could warn."""
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.5,2.5,0\n3.5,4.5,{label}\n0.5,0.5,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError,
+                               match=rf"row 2 label {re.escape(shown)} is not a whole number "
+                                     r"in \[0, 65535\]"):
+                D.load_csv_dataset(path)
+
+    def test_csv_largest_class_index_loads(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.5,2.5,0\n3.5,4.5,65535\n")
+        ds = D.load_csv_dataset(path)
+        assert ds.labels.tolist() == [0, 65535]
+        assert ds.num_classes == 65536
 
 
 @pytest.fixture(scope="module")

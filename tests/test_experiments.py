@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcon import cli, selftest
+from relcon import data as D
 from relcon import experiments as E
 from relcon.errors import ConfigError, ContractError
 from relcon.trainer import CurvePoint
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+IDENTITY = Path(__file__).resolve().parent / "identity"
 ACCEPTED_KEYS = sorted((section, key) for section, keys in E._KEYS.items() for key in keys)
 
 QUICK_CONFIG = """
@@ -136,6 +138,9 @@ class TestConfigParsing:
         ("dataset", "generator = multiblobs\nnoise_sd = nan"),
         ("dataset", "generator = blobs\ncenter_jitter = nan"),
         ("dataset", "generator = blobs\ncenter_jitter = -0.1"),
+        ("dataset", "generator = blobs\ncenter_jitter = inf"),
+        ("perturb", "translate_frac_max = inf"),
+        ("perturb", "rotation_deg_max = inf"),
         ("dataset", "generator = blobs\nimbalance_ratio = nan"),
         ("dataset", "generator = blobs\nimbalance_ratio = inf"),
         ("dataset", "generator = blobs\nimbalance_ratio = 1e308"),
@@ -461,6 +466,83 @@ class TestFailureHandling:
         lines = (tmp_path / "runs" / row.run_name / "error.txt").read_text().splitlines()
         assert lines[-1] == "relcon.errors." + row.error
 
+    def test_report_counts_only_cells_that_ran(self, tmp_path, capsys):
+        """The 0.001 cells fail with SplitError. summary.csv gives them 0 runs,
+        and the delta table skips them: no baseline cell ran at 0.001."""
+        text = ("[dataset]\ngenerator = moons\nn = 200\nnoise_sd = 0.1\n"
+                "[train]\ntotal_epochs = 1\nramp_epochs = 1\nhidden = 8\n"
+                "[sweep]\nvariant = baseline, mt\nlabeled_fraction = 0.2, 0.001\n")
+        rep = E.run_experiment(E.parse_config_text(text))
+        assert [r.labeled_fraction for r in rep.rows if r.error.startswith("SplitError")] \
+            == [0.001, 0.001]
+        E.emit_reports(rep, tmp_path)
+        summary = [line.split(",") for line in
+                   (tmp_path / "summary.csv").read_text().splitlines()[1:]]
+        assert {(v, f, runs) for v, _, f, runs, *_ in summary} == {
+            ("baseline", "0.2", "1"), ("baseline", "0.001", "0"),
+            ("mt", "0.2", "1"), ("mt", "0.001", "0")}
+        table = E.compare_table(E.load_results_csv(tmp_path / "results.csv"), "baseline")
+        assert [(r["variant"], r["labeled_fraction"], r["runs"]) for r in
+                sorted(table, key=lambda r: r["variant"])] == [("baseline", 0.2, 1),
+                                                               ("mt", 0.2, 1)]
+        assert all(np.isfinite(r["d_auc"]) for r in table)
+        assert cli.main(["report", str(tmp_path)]) == 0
+        assert "nan" not in capsys.readouterr().out.split("deltas vs baseline:")[1]
+
+    def test_report_with_every_baseline_cell_failed_prints_an_empty_table(self, report,
+                                                                         tmp_path, capsys):
+        failed = [dataclasses.replace(r, metrics=None, error="SplitError: x")
+                  if r.variant == "baseline" else r for r in report.rows]
+        E.emit_reports(dataclasses.replace(report, rows=failed), tmp_path)
+        assert E.compare_table(E.load_results_csv(tmp_path / "results.csv"), "baseline") == []
+        assert cli.main(["report", str(tmp_path)]) == 0
+        *_, title, header = capsys.readouterr().out.splitlines()
+        assert title == "deltas vs baseline:"
+        assert header.split() == ["variant", "beta", "labeled_fraction", "runs",
+                                  *(f"d_{m}" for m in E._METRIC_NAMES)]
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_dataset_built_once_per_experiment(self, tmp_path, monkeypatch, parallel):
+        """Cells share one dataset; calls are logged to a file, which also
+        sees any made in a forked worker."""
+        calls = tmp_path / "calls"
+        build = E.build_dataset
+
+        def logged(section):
+            with calls.open("a") as fh:
+                fh.write("build\n")
+            return build(section)
+
+        monkeypatch.setattr(E, "build_dataset", logged)
+        cfg = E.parse_config_text(QUICK_CONFIG + "[sweep]\nseeds = 0, 1\n")
+        rep = E.run_experiment(cfg, parallel=parallel)
+        assert not rep.failed and len(rep.rows) == 2
+        assert calls.read_text() == "build\n"
+
+    @pytest.mark.parametrize("case, error", [
+        ("nan", "data error: FormatError: input value nan is not finite"),
+        ("missing", "data error: FileNotFoundError: "),
+    ])
+    def test_unreadable_dataset_is_one_data_error(self, tmp_path, capsys, case, error):
+        """A dataset file that cannot be read stops the run before its 18
+        cells, with one error line, exit 2 and no run directory."""
+        data = tmp_path / "moons.bin"
+        if case == "nan":
+            moons = D.gen_two_moons(40, 0.1, np.random.default_rng(0))
+            moons.inputs[3, 1] = np.nan
+            D.save_dataset(moons, data)
+        text = (IDENTITY / "moons.cfg").read_text(encoding="utf-8")
+        cfg_path = tmp_path / "moons.cfg"
+        cfg_path.write_text(text.replace("generator = moons",
+                                         f"generator = file\npath = {data}"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--out", str(out), "--parallel", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(error)
+        assert not out.exists()
+
     def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
         sizes = []
 
@@ -531,6 +613,9 @@ class TestCli:
         "[dataset]\ngenerator = blobs\nsize = 1\n",
         "[dataset]\nseed = -1\n",
         "[split]\nseed = -1\n",
+        # layers that do not fit the dataset: found when the run builds its model
+        "[dataset]\ngenerator = moons\n[train]\nhidden =\n",
+        "[dataset]\ngenerator = blobs\n[train]\nconv_channels =\n",
     ])
     def test_out_of_range_model_or_dataset_exits_with_config_error(
             self, tmp_path, capsys, text):

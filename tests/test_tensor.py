@@ -1,5 +1,7 @@
 """Tape engine: op semantics, backward rules, finite-difference validation."""
 
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -667,3 +669,32 @@ class TestOpGradientProperties:
         for i, (f, x) in enumerate(_GRADIENT_CASES[op](rng, b, d)):
             err = T.finite_difference_check(f, x)
             assert err <= 1e-4, f"{op} operand {i}: {err}"
+
+
+_READ_BLAS_THREADS = """
+import ctypes, sys
+from pathlib import Path
+import numpy as np
+libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+              .glob("libscipy_openblas64_-*.so"))
+try:
+    get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+except (IndexError, OSError, AttributeError):
+    sys.exit(3)
+before = get()
+import relcon.tensor
+print(before, get())
+"""
+
+
+def test_import_pins_blas_to_one_thread():
+    """Importing the tape sets numpy's bundled OpenBLAS to one thread,
+    whatever OPENBLAS_NUM_THREADS asked for, so every caller of tensor,
+    models or losses runs its GEMMs as the trainer does."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", _READ_BLAS_THREADS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    if proc.returncode == 3:
+        pytest.skip("numpy bundles no scipy-openblas with a thread-count getter")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "1"]

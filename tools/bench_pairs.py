@@ -20,7 +20,10 @@ comes from the change's ``BENCHMARK.json``. For each end-to-end metric,
 ``worse_by`` holds the change median's shift from the parent median,
 relative to the parent median and signed so that positive is worse, next to
 that metric's ``bound``, and ``within_bound`` says whether the shift is at
-most the bound. Untraced pairs summarise the end-to-end metrics under
+most the bound. ``parent_spread`` is the parent's interquartile range over
+its median, and ``resolved`` says whether that spread is at most the bound:
+a metric whose runs spread wider than its bound is reported as unresolved,
+not as unchanged. Untraced pairs summarise the end-to-end metrics under
 ``summary``; with ``--trace 1`` the per-layer metrics go under
 ``traced_rounds``. Every run's result is kept under ``runs``. Running again
 for a workload replaces its summary and runs of the same ``--trace`` and
@@ -94,10 +97,13 @@ def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
         won[name] = sum(sign * (c - p) > 0 for p, c in pairs)
         tied[name] = sum(c == p for p, c in pairs)
         if name in bounds:
-            shift = worse_shift(float(np.median(values["parent"])),
-                                float(np.median(values["change"])), better[name])
+            parent = quartiles(values["parent"])
+            shift = worse_shift(parent["median"], float(np.median(values["change"])),
+                                better[name])
+            spread = (parent["q3"] - parent["q1"]) / parent["median"]
             worse_by[name] = {"shift": shift, "bound": bounds[name],
-                              "within_bound": shift <= bounds[name]}
+                              "within_bound": shift <= bounds[name],
+                              "parent_spread": spread, "resolved": spread <= bounds[name]}
     out["pairs_won_by_change"] = won
     out["pairs_tied"] = tied
     out["worse_by"] = worse_by
@@ -177,8 +183,10 @@ def main(argv=None) -> int:
     print(f"wrote {path}")
     for name, entry in summary["worse_by"].items():
         verdict = "within" if entry["within_bound"] else "OUTSIDE"
+        resolved = "" if entry["resolved"] else \
+            f"; UNRESOLVED, the parent's runs spread {entry['parent_spread']:.1%}"
         print(f"{name}: change median worse by {entry['shift']:+.1%}, {verdict} "
-              f"its bound {entry['bound']:.0%}")
+              f"its bound {entry['bound']:.0%}{resolved}")
     return 0
 
 
