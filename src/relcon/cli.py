@@ -10,7 +10,8 @@ What a run computes is set by its config file alone, which ``report.json``
 echoes with its sha256. ``run`` takes two more flags that leave its
 results unchanged: ``--out`` writes the run directory somewhere other than
 the config's ``[output] dir``, and ``--parallel N`` runs up to N sweep
-cells concurrently. A bad config or an unreadable dataset exits with status 2.
+cells concurrently. A bad or unreadable config, or an unreadable dataset,
+exits with status 2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from .errors import ConfigError, FormatError
 
 
 def _cmd_run(args) -> int:
-    cfg = experiments.parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from None
+    cfg = experiments.parse_config_text(text)
     try:
         report = experiments.run_experiment(cfg, parallel=args.parallel)
     except (FormatError, OSError) as exc:

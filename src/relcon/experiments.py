@@ -38,7 +38,7 @@ from . import data as D
 from .errors import ConfigError, ContractError
 from .metrics import MetricsReport
 from .models import ArchSpec, ModelSection
-from .perturb import PerturbConfig
+from .perturb import PerturbConfig, max_shift_px
 from .trainer import CurvePoint, TrainConfig, has_target_view, run_variant
 
 MAX_SWEEP_CELLS = 10_000
@@ -309,6 +309,18 @@ def arch_for(dataset: D.Dataset, model: ModelSection) -> ArchSpec:
         raise ConfigError(f"[train] {exc} (dataset samples of shape {shape})") from None
 
 
+def _check_shift_bound(perturb: PerturbConfig, dataset: D.Dataset) -> None:
+    """Reject a ``translate_frac_max`` too large for the images' width once,
+    here, rather than in every cell."""
+    if dataset.inputs.ndim == 4:
+        width = dataset.inputs.shape[3]
+        try:
+            max_shift_px(perturb, width)
+        except ContractError as exc:
+            raise ConfigError(f"[perturb] translate_frac_max = {perturb.translate_frac_max!r} "
+                              f"on images {width} pixels wide: {exc}") from None
+
+
 def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, float, float, int]]:
     """Cross product of (variant, beta, labeled_fraction, seed). Each axis is
     its ``[sweep]`` list, else the one ``[train]`` or ``[split]`` value; this
@@ -360,6 +372,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport
     cells = sweep_cells(cfg)
     dataset = build_dataset(cfg.dataset)
     arch = arch_for(dataset, cfg.model)
+    _check_shift_bound(cfg.train.perturb, dataset)
     jobs = [(cfg, dataset, arch, *cell) for cell in cells]
     workers = min(parallel, len(jobs))
     if workers > 1:

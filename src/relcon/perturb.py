@@ -137,15 +137,24 @@ def _shift(words: np.ndarray, max_px: int) -> np.ndarray:
     return ((words * np.uint64(2 * max_px + 1)) >> _SHIFT32).astype(np.int64) - max_px
 
 
+def max_shift_px(cfg: PerturbConfig, w: int) -> int:
+    """The shift bound round(translate_frac_max * w) in pixels, for images of
+    width ``w``; its 2 * bound + 1 shifts must fit the 32 bits a shift draws
+    from, so the bound is at most 2^31 - 1."""
+    scaled = cfg.translate_frac_max * w
+    # tested before rounding: the product of two finite numbers can be inf
+    if not scaled < 2 ** 31 - 0.5:
+        raise ContractError(f"perturb: a shift bound of {scaled:.6g} pixels is too large")
+    return int(round(scaled))
+
+
 def _geometry(block: tuple[np.ndarray, ...], cfg: PerturbConfig, w: int) -> Geometry:
     """Geometry from a block's four words, for images of width ``w``: the
     angle from word 0, the shifts from the two halves of word 1, the flips
     from words 2 and 3."""
     w0, w1, w2, w3 = block
     r = cfg.rotation_deg_max
-    max_px = int(round(cfg.translate_frac_max * w))
-    if 2 * max_px + 1 > 2 ** 32:
-        raise ContractError(f"perturb: a shift bound of {max_px} pixels is too large")
+    max_px = max_shift_px(cfg, w)
     p = cfg.flip_prob
     return Geometry(angle_deg=-r + 2.0 * r * _unit(w0),
                     dx=_shift(w1 >> _SHIFT32, max_px), dy=_shift(w1 & _MASK32, max_px),
@@ -171,12 +180,15 @@ def _source_pixels(g: Geometry, h: int, w: int) -> tuple[np.ndarray, np.ndarray]
     lies in the image.
 
     Inverts rotate -> translate -> flip: undo the flips, then the shift, then
-    the rotation about the center, rounding to the nearest pixel.
+    the rotation about the center, rounding to the nearest pixel. The flips
+    and shifts are per-sample scalars, so the unflipped, unshifted row ``r``
+    is [N, H, 1] and column ``c`` [N, 1, W]; only the rotated sums, their
+    rounding and the mask are [N, H, W].
     """
     def per_sample(values):
         return np.asarray(values)[:, None, None]
 
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rows, cols = np.arange(h)[:, None], np.arange(w)[None, :]
     r = np.where(per_sample(g.flip_v), h - 1 - rows, rows) - per_sample(g.dy)
     c = np.where(per_sample(g.flip_h), w - 1 - cols, cols) - per_sample(g.dx)
     theta = np.deg2rad(per_sample(g.angle_deg))

@@ -31,12 +31,14 @@ initialization, batch order and dropout draw from substreams keyed on
 counter-based Philox stream keyed on (seed, purpose, epoch, batch) and
 counted on each sample's id and view, so recomputation or extra reads
 never shift unrelated draws. An epoch's views are drawn a group of
-consecutive batches at a time, before the group's first step, each row
-still under its own batch's key.
+consecutive batches at a time, each row still under its own batch's key;
+where two cores are usable, a helper thread draws the next group while the
+current one trains.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -89,7 +91,8 @@ _TAG_DROPOUT = 3
 # unless one batch alone holds more. A call spans consecutive batches, which
 # saves the call's fixed cost on small inputs; its Gaussian and gather
 # temporaries grow with it, and a whole epoch of 12x12 noisy blob images in
-# one call raises a training run's peak RSS by about a sixth.
+# one call raises a training run's peak RSS by about a sixth. Where the next
+# group is drawn ahead on a helper thread, two groups' views are held at once.
 PERTURB_BLOCK_VALUES = 2 ** 14
 
 # Adam moment decays and denominator epsilon
@@ -427,33 +430,59 @@ def _evaluate(state: TrainerState, ds: Dataset) -> metrics.MetricsReport:
     return metrics.classification_report(probs, ds.labels)
 
 
-def _perturbed_batches(cfg: TrainConfig, batches: list[Batch], epoch: int):
-    """Yield (batch index, batch, student view, target view) for each batch.
-
-    Consecutive batches whose inputs hold at most ``PERTURB_BLOCK_VALUES``
-    values in total draw their views in one ``perturb_pair`` call, a batch
-    larger than that alone. Each row is keyed by its own batch's step key
-    (seed, purpose, epoch, batch), so the views do not depend on the
-    grouping. A group's views are drawn when its first batch is due.
-    """
+def _batch_groups(batches: list[Batch]) -> list[range]:
+    """Runs of consecutive batch indices whose inputs hold at most
+    ``PERTURB_BLOCK_VALUES`` values in total; a larger batch is a run alone."""
+    groups = []
     start = 0
     while start < len(batches):
         stop, values = start + 1, batches[start].inputs.size
         while stop < len(batches) and values + batches[stop].inputs.size <= PERTURB_BLOCK_VALUES:
             values += batches[stop].inputs.size
             stop += 1
-        group = batches[start:stop]
-        sizes = [batch.size for batch in group]
-        keys = np.repeat(np.array([(cfg.seed, _TAG_PERTURB, epoch, batch_idx)
-                                   for batch_idx in range(start, stop)], dtype=np.uint64),
-                         sizes, axis=0)
-        x = np.concatenate([batch.inputs for batch in group])
-        ids = np.concatenate([batch.sample_ids for batch in group])
-        views = perturb_pair(x, cfg.perturb, keys, sample_ids=ids)
-        splits = np.cumsum(sizes)[:-1]
-        yield from zip(range(start, stop), group,
-                       *(np.split(view, splits) for view in views))
+        groups.append(range(start, stop))
         start = stop
+    return groups
+
+
+def _group_views(cfg: TrainConfig, batches: list[Batch], group: range,
+                 epoch: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each batch's student and target views, from one ``perturb_pair`` call
+    over the group, every row keyed by its own batch's step key."""
+    sizes = [batches[i].size for i in group]
+    keys = np.repeat(np.array([(cfg.seed, _TAG_PERTURB, epoch, batch_idx) for batch_idx in group],
+                              dtype=np.uint64), sizes, axis=0)
+    x = np.concatenate([batches[i].inputs for i in group])
+    ids = np.concatenate([batches[i].sample_ids for i in group])
+    views = perturb_pair(x, cfg.perturb, keys, sample_ids=ids)
+    splits = np.cumsum(sizes)[:-1]
+    return np.split(views[0], splits), np.split(views[1], splits)
+
+
+def _perturbed_batches(cfg: TrainConfig, batches: list[Batch], epoch: int):
+    """Yield (batch index, batch, student view, target view) for each batch.
+
+    The views are drawn a group of batches per ``perturb_pair`` call (see
+    ``_batch_groups``). Each row is keyed by its own batch's step key (seed,
+    purpose, epoch, batch), so the views do not depend on the grouping, nor
+    on when or on which thread a group is drawn. The caller draws the first
+    group. With two or more groups and two usable cores, one helper thread
+    draws group k + 1 while the caller trains on group k: numpy releases the
+    interpreter lock in the Philox and Box-Muller ufuncs. Otherwise each
+    group is drawn when its first batch is due. The helper is shut down
+    when the generator finishes or is closed, so close it on every exit.
+    """
+    groups = _batch_groups(batches)
+    ahead = len(groups) >= 2 and _usable_cores() >= 2
+    # an executor starts no thread before its first submit
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        following = None
+        for k, group in enumerate(groups):
+            views = following.result() if following is not None else \
+                _group_views(cfg, batches, group, epoch)
+            following = helper.submit(_group_views, cfg, batches, groups[k + 1], epoch) \
+                if ahead and k + 1 < len(groups) else None
+            yield from zip(group, (batches[i] for i in group), *views)
 
 
 def _train_step(state: TrainerState, batch: Batch, view_s: np.ndarray, view_t: np.ndarray,
@@ -581,10 +610,13 @@ def train_epoch(state: TrainerState, splits: Splits,
     batches = epoch_batches(pool, splits.unlabeled, cfg.plan, batch_rng)
 
     sums = np.zeros(3)
-    for batch_idx, batch, view_s, view_t in _perturbed_batches(cfg, batches, epoch):
-        bd = _train_step(state, batch, view_s, view_t, epoch, batch_idx, ramp_weight, lr,
-                         probe)
-        sums += (bd.supervised, bd.consistency, bd.relation)
+    # closing shuts the draw-ahead thread down even when a step raises, so
+    # none outlives the epoch into a process that run_experiment forks
+    with contextlib.closing(_perturbed_batches(cfg, batches, epoch)) as views:
+        for batch_idx, batch, view_s, view_t in views:
+            bd = _train_step(state, batch, view_s, view_t, epoch, batch_idx, ramp_weight,
+                             lr, probe)
+            sums += (bd.supervised, bd.consistency, bd.relation)
     means = sums / max(1, len(batches))
 
     if state.temporal is not None:

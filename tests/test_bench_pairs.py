@@ -89,3 +89,36 @@ def test_side_entries():
 ])
 def test_worse_shift_sign(parent, change, better, shift):
     assert bench_pairs.worse_shift(parent, change, better) == pytest.approx(shift)
+
+
+# ten pairs: the parent's samples_per_s has median 100 and quartiles 99.25 and 100.75
+PARENT_TEN = [98.0, 99.0, 99.0, 100.0, 100.0, 100.0, 100.0, 101.0, 101.0, 102.0]
+
+
+@pytest.mark.parametrize("change, verdict", [
+    # nine wins and a tie, medians 100 -> 104: both parts met
+    ([104.0, 104.0, 104.0, 104.0, 104.0, 104.0, 104.0, 104.0, 104.0, 102.0],
+     {"won": 9, "tied": 1, "lost": 0, "wins_met": True, "gap_met": True, "met": True}),
+    # ten wins, but a median gain of 1.5 is not larger than the parent's IQR of 1.5
+    ([99.5, 100.5, 100.5, 101.0, 101.5, 101.5, 101.5, 102.0, 102.0, 103.0],
+     {"won": 10, "tied": 0, "lost": 0, "wins_met": True, "gap_met": False, "met": False}),
+    # a large median gain from eight wins; the two ties count for neither side
+    ([98.0, 99.0, 110.0, 110.0, 110.0, 110.0, 110.0, 110.0, 110.0, 110.0],
+     {"won": 8, "tied": 2, "lost": 0, "wins_met": False, "gap_met": True, "met": False}),
+], ids=["met", "gap-within-iqr", "eight-wins"])
+def test_claim_needs_nine_tenths_of_pairs_and_a_gap_past_the_iqr(change, verdict):
+    runs = _runs({"parent": {"samples_per_s": PARENT_TEN}, "change": {"samples_per_s": change}})
+    out = bench_pairs.summarise(runs, BETTER, BOUNDS, claim="samples_per_s")
+    claim = out["claim"]
+    assert claim["metric"] == "samples_per_s" and claim["pairs"] == 10
+    assert claim["parent_iqr"] == 1.5
+    assert {k: claim[k] for k in verdict} == verdict
+
+
+def test_claim_on_a_lower_is_better_metric():
+    runs = _runs({"parent": {"peak_rss_mb": [50.0, 52.0, 51.0, 50.0]},
+                  "change": {"peak_rss_mb": [40.0, 41.0, 40.0, 42.0]}})
+    claim = bench_pairs.summarise(runs, BETTER, BOUNDS, claim="peak_rss_mb")["claim"]
+    assert claim["median_gap"] == pytest.approx(10.0)
+    assert claim["won"] == 4 and claim["met"]
+    assert "claim" not in bench_pairs.summarise(runs, BETTER, BOUNDS)

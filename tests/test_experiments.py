@@ -19,6 +19,7 @@ from relcon import cli, selftest
 from relcon import data as D
 from relcon import experiments as E
 from relcon.errors import ConfigError, ContractError
+from relcon.perturb import PerturbConfig, max_shift_px, perturb_pair
 from relcon.trainer import CurvePoint
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -543,6 +544,28 @@ class TestFailureHandling:
         assert line.startswith(error)
         assert not out.exists()
 
+    @pytest.mark.parametrize("frac, pixels", [((2 ** 31 - 1) / 8, 2 ** 31 - 1),
+                                              ((2 ** 31 - 0.5) / 8, None),
+                                              (2 ** 31 / 8, None), (1e308, None)])
+    def test_shift_bound_checked_against_image_width(self, frac, pixels):
+        """2 * bound + 1 shifts must fit in 32 bits: 2^31 - 1 pixels is the
+        largest bound that does, and 2^31 - 0.5 rounds (half to even) to
+        2^31. 1e308 * 8 overflows to inf. A vector dataset has no geometry
+        to check."""
+        blobs = E.build_dataset(E.parse_config_text(QUICK_CONFIG).dataset)
+        assert blobs.inputs.shape[3] == 8
+        perturb = PerturbConfig(translate_frac_max=frac)
+        if pixels is not None:
+            E._check_shift_bound(perturb, blobs)
+            assert max_shift_px(perturb, 8) == pixels
+            views = perturb_pair(blobs.inputs[:3], perturb, (0,))
+            assert all(np.isfinite(view).all() for view in views)
+        else:
+            with pytest.raises(ConfigError, match="pixels is too large"):
+                E._check_shift_bound(perturb, blobs)
+        moons = D.gen_two_moons(8, 0.1, np.random.default_rng(0))
+        E._check_shift_bound(PerturbConfig(translate_frac_max=1e300), moons)
+
     def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
         sizes = []
 
@@ -599,6 +622,36 @@ class TestCli:
         cfg_path.write_text("[perturb]\nflip_prob = 2\n")
         assert cli.main(["run", str(cfg_path)]) == 2
         assert "config error: [perturb]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, error", [(None, "FileNotFoundError"),
+                                                (b"\xff\xfe[train]\n", "UnicodeDecodeError")])
+    def test_unreadable_config_file_is_one_config_error(self, tmp_path, capsys, content, error):
+        cfg_path = tmp_path / "exp.cfg"
+        if content is not None:
+            cfg_path.write_bytes(content)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"config error: {error}: ")
+        assert not out.exists()
+
+    def test_huge_shift_bound_is_one_config_error(self, tmp_path, capsys):
+        """A finite translate_frac_max too large for 8-pixel images stops the
+        run before its two cells, with one error line, exit 2 and no run
+        directory."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(QUICK_CONFIG + "[perturb]\ntranslate_frac_max = 1e300\n"
+                            "[sweep]\nseeds = 0, 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--out", str(out), "--parallel", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("config error: [perturb] translate_frac_max = 1e+300 on images "
+                               "8 pixels wide: ")
+        assert not out.exists()
 
     def test_rejected_sweep_value_exits_with_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

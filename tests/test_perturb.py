@@ -483,6 +483,57 @@ class TestLargeShift:
                     assert view[i].tobytes() == _reference_view(x[i], draw).tobytes()
 
 
+def _meshgrid_source_pixels(g, h, w):
+    """``_source_pixels`` with every index array built at [N, H, W] from a
+    meshgrid, the form that the broadcast map must match element for element."""
+    def per_sample(values):
+        return np.asarray(values)[:, None, None]
+
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    r = np.where(per_sample(g.flip_v), h - 1 - rows, rows) - per_sample(g.dy)
+    c = np.where(per_sample(g.flip_h), w - 1 - cols, cols) - per_sample(g.dx)
+    theta = np.deg2rad(per_sample(g.angle_deg))
+    cos, sin = np.cos(theta), np.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    dy, dx = r - cy, c - cx
+    sr = np.rint(cos * dy + sin * dx + cy).astype(int)
+    sc = np.rint(-sin * dy + cos * dx + cx).astype(int)
+    inside = ((r >= 0) & (r < h) & (c >= 0) & (c < w)
+              & (sr >= 0) & (sr < h) & (sc >= 0) & (sc < w))
+    shape = (len(g.angle_deg), 1, h * w)
+    return np.where(inside, sr * w + sc, 0).reshape(shape), inside.reshape(shape)
+
+
+@st.composite
+def _geometry_cases(draw):
+    """A batch's geometry with shifts past the edge, angles up to 400 degrees
+    either way and both flips."""
+    n = draw(st.integers(1, 119))
+    h, w = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    angle = st.one_of(st.sampled_from([0.0, 45.0, -90.0, 180.0, 400.0, -400.0]),
+                      st.floats(-400.0, 400.0))
+    shift = st.integers(-2 * max(h, w), 2 * max(h, w))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    g = P.Geometry(angle_deg=column(angle).astype(np.float64), dx=column(shift),
+                   dy=column(shift), flip_h=column(st.booleans()),
+                   flip_v=column(st.booleans()))
+    return g, h, w
+
+
+class TestSourcePixels:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_geometry_cases())
+    def test_broadcast_map_equals_meshgrid_form(self, case):
+        g, h, w = case
+        got, want = P._source_pixels(g, h, w), _meshgrid_source_pixels(g, h, w)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
 @st.composite
 def _grouped_cases(draw):
     """Several batches of one input shape, each with its own master key."""

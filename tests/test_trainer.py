@@ -465,6 +465,84 @@ class TestGroupedPerturbation:
         assert calls == per_epoch * cfg.total_epochs
 
 
+def _cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+class TestDrawAhead:
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("bound, groups", [(None, 1), (6912, 2), (2304, 6)])
+    def test_views_equal_one_inline_call_per_group(self, monkeypatch, cores, bound, groups):
+        """11 batches of 18 8x8 images and one of 17: the default bound makes
+        one group, 6912 values two of six batches, 2304 six of two. Every
+        yielded view equals its group's perturb_pair call drawn in line; with
+        two cores and two or more groups, every group after the first is
+        drawn on one helper thread."""
+        if bound is not None:
+            monkeypatch.setattr(TR, "PERTURB_BLOCK_VALUES", bound)
+        _cores(monkeypatch, cores)
+        threads = []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return perturb_pair(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "perturb_pair", recording)
+        splits = small_splits()
+        cfg = quick_config(variant="src_mt", perturb=PerturbConfig(noise_enabled=True))
+        batches = D.epoch_batches(splits.labeled, splits.unlabeled, cfg.plan,
+                                  np.random.default_rng(5))
+        yielded = list(TR._perturbed_batches(cfg, batches, epoch=3))
+        assert [row[0] for row in yielded] == list(range(len(batches))) and len(batches) == 12
+        assert all(row[1] is batch for row, batch in zip(yielded, batches))
+
+        per_group = -(-len(batches) // groups)
+        for start in range(0, len(batches), per_group):
+            group = range(start, min(start + per_group, len(batches)))
+            keys = np.concatenate([np.tile([cfg.seed, TR._TAG_PERTURB, 3, i],
+                                           (batches[i].size, 1)) for i in group])
+            views = perturb_pair(np.concatenate([batches[i].inputs for i in group]),
+                                 cfg.perturb, keys.astype(np.uint64),
+                                 sample_ids=np.concatenate([batches[i].sample_ids
+                                                            for i in group]))
+            got = [np.concatenate([yielded[i][2 + v] for i in group]) for v in (0, 1)]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, views))
+        main = threading.get_ident()
+        assert len(threads) == groups and threads[0] == main
+        if cores == 2 and groups > 1:
+            assert len(set(threads[1:])) == 1 and main not in threads[1:]
+        else:
+            assert set(threads) == {main}
+
+    @pytest.mark.parametrize("fail_at", [None, 3])
+    def test_no_thread_outlives_train_epoch(self, monkeypatch, fail_at):
+        """With a group per batch, the helper is drawing the next group when
+        a step on batch 3 raises; train_epoch leaves no thread behind either
+        way."""
+        monkeypatch.setattr(TR, "PERTURB_BLOCK_VALUES", 1)
+        _cores(monkeypatch, 2)
+        step, steps = TR._train_step, []
+
+        def failing(state, batch, view_s, view_t, epoch, batch_idx, *args):
+            steps.append(batch_idx)
+            if batch_idx == fail_at:
+                raise RuntimeError("step failed")
+            return step(state, batch, view_s, view_t, epoch, batch_idx, *args)
+
+        monkeypatch.setattr(TR, "_train_step", failing)
+        splits = small_splits()
+        state = TR.init_trainer(quick_config(variant="src_mt"), ARCH, splits.labeled)
+        alive = set(threading.enumerate())
+        if fail_at is None:
+            TR.train_epoch(state, splits)
+            assert len(steps) == 12
+        else:
+            with pytest.raises(RuntimeError, match="step failed"):
+                TR.train_epoch(state, splits)
+            assert steps == [0, 1, 2, 3]
+        assert set(threading.enumerate()) == alive
+
+
 class TestPredictProbsThreads:
     def test_same_bits_for_any_core_count(self, monkeypatch):
         """Multi-chunk predictions have the same bits on one core (all chunks

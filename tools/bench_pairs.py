@@ -28,6 +28,12 @@ not as unchanged. Untraced pairs summarise the end-to-end metrics under
 ``traced_rounds``. Every run's result is kept under ``runs``. Running again
 for a workload replaces its summary and runs of the same ``--trace`` and
 keeps the rest of the file.
+
+``--claim METRIC`` also records under the summary's ``claim`` whether the
+pairs support claiming a gain on METRIC: the change must win at least nine
+tenths of the pairs, a tie counting for neither side, and the gap between
+the two medians, in the direction of "better", must be larger than the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -81,9 +87,29 @@ def worse_shift(parent: float, change: float, better: str) -> float:
     return shift / parent
 
 
-def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+def judge_claim(parent: list[float], change: list[float], better: str) -> dict:
+    """Whether paired values support claiming that ``change`` is better: it
+    wins at least nine tenths of the pairs (a tie is neither a win nor a
+    loss), and its median beats the parent's by more than the parent's
+    interquartile range."""
+    sign = 1.0 if better == "higher" else -1.0
+    pairs = len(parent)
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    tied = sum(c == p for p, c in zip(parent, change))
+    q = quartiles(parent)
+    gap = sign * (float(np.median(change)) - q["median"])
+    iqr = q["q3"] - q["q1"]
+    wins_met, gap_met = 10 * won >= 9 * pairs, gap > iqr
+    return {"pairs": pairs, "won": won, "tied": tied, "lost": pairs - won - tied,
+            "median_gap": gap, "parent_iqr": iqr, "wins_met": wins_met, "gap_met": gap_met,
+            "met": wins_met and gap_met}
+
+
+def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float],
+              claim: str | None = None) -> dict:
     """Per side medians and quartiles, the pairs the change won and tied,
-    and the change median's relative worsening against each bound."""
+    the change median's relative worsening against each bound, and the
+    verdict on ``claim``, a metric whose gain is claimed."""
     by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
                for side in SIDES}
     out: dict = {"pairs": len(by_side["change"]), "seconds": runs[0]["seconds"]}
@@ -96,6 +122,9 @@ def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
         pairs = list(zip(values["parent"], values["change"]))
         won[name] = sum(sign * (c - p) > 0 for p, c in pairs)
         tied[name] = sum(c == p for p, c in pairs)
+        if name == claim:
+            out["claim"] = {"metric": name, **judge_claim(values["parent"], values["change"],
+                                                          better[name])}
         if name in bounds:
             parent = quartiles(values["parent"])
             shift = worse_shift(parent["median"], float(np.median(values["change"])),
@@ -139,12 +168,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=int, default=40)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--what", default="", help="what the two sides are")
+    parser.add_argument("--claim", default=None, metavar="METRIC",
+                        help="a metric whose gain is claimed; record whether the pairs support it")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    if args.claim is not None and args.claim not in better:
+        parser.error(f"--claim: {args.claim!r} is not a metric of BENCHMARK.json")
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
@@ -174,7 +207,7 @@ def main(argv=None) -> int:
         "see its docstring for the pairing, ru_minflt and quartiles")
     bench["environment"] = environment()
     key = "traced_rounds" if args.trace else "summary"
-    summary = summarise(runs, better, bounds)
+    summary = summarise(runs, better, bounds, args.claim)
     bench.setdefault(key, {})[args.workload] = summary
     kept = [r for r in bench.get("runs", [])
             if (r["workload"], r["trace"]) != (args.workload, args.trace)]
@@ -187,6 +220,13 @@ def main(argv=None) -> int:
             f"; UNRESOLVED, the parent's runs spread {entry['parent_spread']:.1%}"
         print(f"{name}: change median worse by {entry['shift']:+.1%}, {verdict} "
               f"its bound {entry['bound']:.0%}{resolved}")
+    if args.claim is not None and "claim" not in summary:
+        print(f"claim {args.claim}: not judged, the runs do not record it")
+    elif args.claim is not None:
+        c = summary["claim"]
+        print(f"claim {c['metric']}: {'MET' if c['met'] else 'NOT MET'}; change won "
+              f"{c['won']} of {c['pairs']} pairs ({c['tied']} tied), median gap "
+              f"{c['median_gap']:.4g} against the parent's IQR {c['parent_iqr']:.4g}")
     return 0
 
 
