@@ -10,8 +10,9 @@ What a run computes is set by its config file alone, which ``report.json``
 echoes with its sha256. ``run`` takes two more flags that leave its
 results unchanged: ``--out`` writes the run directory somewhere other than
 the config's ``[output] dir``, and ``--parallel N`` runs up to N sweep
-cells concurrently. A bad or unreadable config, or an unreadable dataset,
-exits with status 2.
+cells concurrently (N >= 1). A bad or unreadable config, an unreadable
+dataset or ``results.csv``, a file that cannot be written, or a usage
+error exits with status 2.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ def _cmd_run(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from None
     cfg = experiments.parse_config_text(text)
-    try:
-        report = experiments.run_experiment(cfg, parallel=args.parallel)
-    except (FormatError, OSError) as exc:
-        print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    report = experiments.run_experiment(cfg, parallel=args.parallel)
     outdir = args.out or cfg.output.dir
     experiments.emit_reports(report, outdir)
     print(f"wrote {len(report.rows)} rows to {outdir}/results.csv "
@@ -93,6 +90,8 @@ def main(argv: list[str] | None = None) -> int:
     subs.add_parser("selftest", help="run built-in verification suites")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.parallel < 1:
+        parser.error("--parallel must be at least 1")
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -101,6 +100,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if selftest.run_all() else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (FormatError, OSError) as exc:
+        print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -25,6 +25,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import time
 import traceback
 import typing
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as D
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, FormatError
 from .metrics import MetricsReport
 from .models import ArchSpec, ModelSection
 from .perturb import PerturbConfig, max_shift_px
@@ -366,7 +367,9 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport
 
     Each job carries the one dataset and architecture, built first. With
     ``parallel > 1`` the cells run in a process pool of at most one worker
-    per cell; a fork pool starts all its workers at the first submit.
+    per cell. The pool forks its workers, whatever the platform's default
+    start method, so they inherit the parent's modules as they are (a
+    tracer's wrappers, say); it starts them all at the first submit.
     """
     started = time.perf_counter()
     cells = sweep_cells(cfg)
@@ -376,7 +379,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport
     jobs = [(cfg, dataset, arch, *cell) for cell in cells]
     workers = min(parallel, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             rows = list(pool.map(_run_cell_safe, jobs))
     else:
         rows = [_run_cell_safe(job) for job in jobs]
@@ -472,16 +476,28 @@ def emit_reports(report: ExperimentReport, outdir) -> None:
 
 
 def load_results_csv(path) -> list[dict]:
-    """Re-parse a results.csv written by emit_reports."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
+    """Re-parse a results.csv written by emit_reports. FormatError names the
+    byte where the text is not UTF-8, or the line that lacks a column or a
+    number."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text", offset=exc.start) from None
+    header = lines[0].split(",") if lines else []
+    numbers = {"beta": float, "labeled_fraction": float, "seed": int,
+               **dict.fromkeys(_METRIC_NAMES, float)}
+    missing = [key for key in ("variant", *numbers) if key not in header]
+    if missing:
+        raise FormatError(f"{path} line 1: no {missing[0]} column")
     rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        row: dict = dict(zip(header, parts))
-        for key in ("beta", "labeled_fraction", *_METRIC_NAMES):
-            row[key] = float(row[key])
-        row["seed"] = int(row["seed"])
+    for number, line in enumerate(lines[1:], start=2):
+        row: dict = dict(zip(header, line.split(",")))
+        for key, kind in numbers.items():
+            try:
+                row[key] = kind(row[key])
+            except (KeyError, ValueError):
+                raise FormatError(f"{path} line {number}: cannot read {key} "
+                                  f"from {row.get(key, '')!r}") from None
         rows.append(row)
     return rows
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, metrics
+from . import losses, metrics, models
 from . import tensor as T
 from .data import gen_blob_images, load_dataset, save_dataset
 from .trainer import ema_update, lambda_rampup
@@ -111,11 +111,11 @@ def check_ema_closed_form(steps: int) -> Check:
     rng = np.random.default_rng(5)
     worst = 0.0
     for alpha in (0.9, 0.99):
-        student = {"w": rng.normal(size=(5, 4))}
+        student = models.packed({"w": rng.normal(size=(5, 4))})
         gap = rng.normal(size=(5, 4))
-        teacher = {"w": student["w"] + gap}
+        teacher = models.packed({"w": student["w"] + gap})
         for t in range(1, steps + 1):
-            teacher = ema_update(teacher, student, alpha)
+            ema_update(teacher, student, alpha)
             err = np.abs(teacher["w"] - student["w"] - alpha ** t * gap).max()
             worst = np.maximum(worst, err)
     ok = bool(worst <= 1e-12)

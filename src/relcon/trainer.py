@@ -34,6 +34,11 @@ never shift unrelated draws. An epoch's views are drawn a group of
 consecutive batches at a time, each row still under its own batch's key;
 where two cores are usable, a helper thread draws the next group while the
 current one trains.
+
+The student, the teacher and Adam's moments share one buffer layout
+(``models.flat``), and both updates work on whole buffers in place: a
+parameter dict changes as training goes on, so a snapshot needs
+``models.packed``.
 """
 
 from __future__ import annotations
@@ -243,8 +248,8 @@ class TrainerState:
     teacher: Params | None
     class_weights: np.ndarray
     multilabel: bool
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
+    adam_m: np.ndarray   # Adam's moments, in the layout of the student's buffer
+    adam_v: np.ndarray
     adam_steps: int = 0
     epoch: int = 0
     temporal: TemporalStore | None = None
@@ -280,17 +285,13 @@ def learning_rate_for_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.learning_rate * (1.0 - epoch / cfg.total_epochs) ** cfg.lr_decay_power
 
 
-def ema_update(teacher: Params, student: Params, alpha: float) -> Params:
-    """teacher <- alpha * teacher + (1 - alpha) * student, elementwise."""
-    if teacher.keys() != student.keys():
-        raise ContractError("teacher and student parameter names differ")
-    out: Params = {}
-    for name, t_val in teacher.items():
-        s_val = student[name]
-        if t_val.shape != s_val.shape:
-            raise ContractError(f"shape mismatch for {name}: {t_val.shape} vs {s_val.shape}")
-        out[name] = alpha * t_val + (1.0 - alpha) * s_val
-    return out
+def ema_update(teacher: Params, student: Params, alpha: float) -> None:
+    """teacher <- alpha * teacher + (1 - alpha) * student, elementwise over the
+    two models' buffers, in place."""
+    t, s = models.flat(teacher), models.flat(student)
+    if t.shape != s.shape:
+        raise ContractError(f"teacher has {t.size} parameters, student {s.size}")
+    t[...] = alpha * t + (1.0 - alpha) * s
 
 
 def combine_losses(supervised: T.Tensor, consistency: T.Tensor | None,
@@ -339,14 +340,13 @@ def init_trainer(cfg: TrainConfig, arch: ArchSpec, labeled: Dataset) -> TrainerS
         raise ConfigError("labeled split is empty; every variant needs supervision")
     target, _ = VARIANT_TABLE[cfg.variant]
     student = models.init_params(arch, substream(cfg.seed, _TAG_INIT))
-    teacher = {k: v.copy() for k, v in student.items()} if target == "ema" else None
+    teacher = models.packed(student) if target == "ema" else None
     temporal = TemporalStore(cfg.te_ensemble_rate, arch.num_classes) if target == "te" else None
     weights = losses.inverse_frequency_weights(labeled.labels, arch.num_classes)
     return TrainerState(
         config=cfg, arch=arch, student=student, teacher=teacher,
         class_weights=weights, multilabel=labeled.multilabel,
-        adam_m={k: np.zeros_like(v) for k, v in student.items()},
-        adam_v={k: np.zeros_like(v) for k, v in student.items()},
+        adam_m=np.zeros_like(models.flat(student)), adam_v=np.zeros_like(models.flat(student)),
         temporal=temporal,
     )
 
@@ -355,15 +355,15 @@ def _adam_step(state: TrainerState, grads: dict[str, np.ndarray], lr: float) -> 
     state.adam_steps += 1
     t = state.adam_steps
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for name, p in state.student.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        m = state.adam_m[name] = b1 * state.adam_m[name] + (1 - b1) * g
-        v = state.adam_v[name] = b2 * state.adam_v[name] + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        state.student[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    p, m, v = models.flat(state.student), state.adam_m, state.adam_v
+    # a parameter the loss does not reach gets a zero gradient
+    g = np.concatenate([grads.get(name, np.zeros(w.size)) for name, w in state.student.items()],
+                       axis=None)
+    m[...] = b1 * m + (1 - b1) * g
+    v[...] = b2 * v + (1 - b2) * g * g
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _probs_node(logits: T.Tensor, multilabel: bool) -> T.Tensor:
@@ -543,7 +543,7 @@ def _train_step(state: TrainerState, batch: Batch, view_s: np.ndarray, view_t: n
     grads = T.backward(total)
     _adam_step(state, grads, lr)
     if state.teacher is not None:
-        state.teacher = ema_update(state.teacher, state.student, cfg.alpha)
+        ema_update(state.teacher, state.student, cfg.alpha)
 
     if probe is not None:
         probe({

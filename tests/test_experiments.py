@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from relcon import cli, selftest
 from relcon import data as D
 from relcon import experiments as E
-from relcon.errors import ConfigError, ContractError
+from relcon.errors import ConfigError, ContractError, FormatError
 from relcon.perturb import PerturbConfig, max_shift_px, perturb_pair
 from relcon.trainer import CurvePoint
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 IDENTITY = Path(__file__).resolve().parent / "identity"
+RESULTS_HEADER = ["variant", "beta", "labeled_fraction", "seed", *E._METRIC_NAMES]
 ACCEPTED_KEYS = sorted((section, key) for section, keys in E._KEYS.items() for key in keys)
 
 QUICK_CONFIG = """
@@ -582,6 +583,52 @@ class TestFailureHandling:
         one_cell = E.parse_config_text(QUICK_CONFIG)
         E.run_experiment(one_cell, parallel=4)
         assert sizes == [2]   # a single cell runs in this process
+
+
+    def test_pool_forks_its_workers(self, monkeypatch):
+        """Whatever the platform's default start method: perfbench's tracer
+        relies on workers inheriting its wrappers."""
+        contexts = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, mp_context=None, **kwargs):
+                contexts.append(mp_context)
+                super().__init__(max_workers, mp_context, **kwargs)
+
+        monkeypatch.setattr(E, "ProcessPoolExecutor", RecordingPool)
+        two_cells = E.parse_config_text(QUICK_CONFIG + "[sweep]\nseeds = 0, 1\n")
+        assert not E.run_experiment(two_cells, parallel=2).failed
+        assert [context.get_start_method() for context in contexts] == ["fork"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: no variant column"),
+        (",".join(RESULTS_HEADER[:-1]) + "\n", "line 1: no f1 column"),
+        (",".join(RESULTS_HEADER) + "\nmt,0.5,0.2,0,0.9,0.8,0.7,0.6,0.5"
+         "\nmt,abc,0.2,1,0.9,0.8,0.7,0.6,0.5\n", "line 3: cannot read beta from 'abc'"),
+        (",".join(RESULTS_HEADER) + "\nmt,0.5,0.2,0,0.9,0.8\n",
+         "line 2: cannot read specificity from ''"),
+        (b"variant,b\xe9ta\n", "is not UTF-8 text (at byte offset 9)"),
+    ], ids=["empty", "missing-column", "not-a-number", "short-row", "not-utf8"])
+    def test_malformed_results_csv_is_one_data_error(self, tmp_path, capsys, text, message):
+        (tmp_path / "results.csv").write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(FormatError, match=re.escape(message)):
+            E.load_results_csv(tmp_path / "results.csv")
+        assert cli.main(["report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("data error: FormatError: ") and line.endswith(message)
+
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_parallel_below_one_is_a_usage_error(self, tmp_path, capsys, parallel):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(QUICK_CONFIG)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["run", str(cfg_path), "--out", str(out), "--parallel", parallel])
+        assert stop.value.code == 2
+        assert "--parallel must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCli:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcon import losses, models
 from relcon import tensor as T
@@ -32,6 +34,74 @@ class TestInit:
         params = models.init_params(CONV, np.random.default_rng(1))
         limit_conv = np.sqrt(6.0 / (1 * 9 + 3 * 9))
         assert np.abs(params["conv0.w"]).max() <= limit_conv
+
+
+def _per_name_init(spec, rng):
+    """The per-name draws of ``init_params``, as separate arrays."""
+    def glorot(shape, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape)
+
+    params = {}
+    if spec.kind == "mlp":
+        widths = (spec.input_shape[0],) + tuple(spec.hidden)
+        for i in range(len(widths) - 1):
+            params[f"dense{i}.w"] = glorot((widths[i], widths[i + 1]), widths[i], widths[i + 1])
+            params[f"dense{i}.b"] = np.zeros(widths[i + 1])
+        head_in = widths[-1]
+    else:
+        channels = (spec.input_shape[0],) + tuple(spec.conv_channels)
+        for i in range(len(channels) - 1):
+            cin, cout = channels[i], channels[i + 1]
+            params[f"conv{i}.w"] = glorot((cout, cin, 3, 3), cin * 9, cout * 9)
+            params[f"conv{i}.b"] = np.zeros(cout)
+        head_in = channels[-1]
+    params["head.w"] = glorot((head_in, spec.num_classes), head_in, spec.num_classes)
+    params["head.b"] = np.zeros(spec.num_classes)
+    return params
+
+
+class TestLayout:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(conv=st.booleans(), width_in=st.integers(1, 4),
+           layers=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+           classes=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_init_params_views_one_buffer_of_the_per_name_draws(self, conv, width_in, layers,
+                                                                classes, seed):
+        shape = (width_in, 6, 6) if conv else (width_in,)
+        widths = {"conv_channels": tuple(layers)} if conv else {"hidden": tuple(layers)}
+        spec = models.ArchSpec(input_shape=shape, num_classes=classes, **widths)
+        params = models.init_params(spec, np.random.default_rng(seed))
+        expected = _per_name_init(spec, np.random.default_rng(seed))
+        assert list(params) == list(expected)
+        for name, value in expected.items():
+            assert params[name].shape == value.shape
+            assert params[name].tobytes() == value.tobytes()
+        buf = models.flat(params)
+        assert buf.flags.c_contiguous and buf.dtype == np.float64
+        assert buf.tobytes() == b"".join(v.tobytes() for v in expected.values())
+        assert all(value.base is buf for value in params.values())
+        # the dict's arrays are the buffer: a write to one shows in the other
+        buf[...] = 7.0
+        assert all((value == 7.0).all() for value in params.values())
+
+    def test_packed_copies_into_a_new_buffer(self):
+        params = models.init_params(CONV, np.random.default_rng(0))
+        copy = models.packed(params)
+        assert models.flat(copy).tobytes() == models.flat(params).tobytes()
+        assert not np.shares_memory(models.flat(copy), models.flat(params))
+
+    @pytest.mark.parametrize("make", [
+        lambda p: {k: v.copy() for k, v in p.items()},
+        lambda p: dict(reversed(list(p.items()))),
+        lambda p: dict(list(p.items())[:-1]),
+        lambda p: {**p, "head.b": p["head.b"].copy()},
+        lambda p: {},
+    ], ids=["plain-copies", "reordered", "partial", "one-replaced", "empty"])
+    def test_flat_rejects_a_dict_that_is_not_one_buffer(self, make):
+        params = models.init_params(MLP, np.random.default_rng(0))
+        with pytest.raises(ContractError):
+            models.flat(make(params))
 
 
 class TestForward:

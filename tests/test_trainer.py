@@ -4,9 +4,12 @@ import hashlib
 import math
 import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcon import data as D
 from relcon import models
@@ -62,28 +65,108 @@ class TestRampUp:
 
 class TestEmaUpdate:
     def test_simple_step(self):
-        out = TR.ema_update({"w": np.array([1.0])}, {"w": np.array([0.0])}, 0.99)
+        out = models.packed({"w": np.array([1.0])})
+        TR.ema_update(out, models.packed({"w": np.array([0.0])}), 0.99)
         assert out["w"][0] == 0.99
 
     def test_alpha_zero_copies_student(self):
-        student = {"w": np.array([3.0, 4.0])}
-        out = TR.ema_update({"w": np.zeros(2)}, student, 0.0)
+        student = models.packed({"w": np.array([3.0, 4.0])})
+        out = models.packed({"w": np.zeros(2)})
+        TR.ema_update(out, student, 0.0)
         assert np.array_equal(out["w"], student["w"])
 
     @pytest.mark.parametrize("alpha", [0.9, 0.99])
     def test_constant_student_geometric_gap(self, alpha):
         rng = np.random.default_rng(0)
-        student = {"w": rng.normal(size=(4, 3))}
+        student = models.packed({"w": rng.normal(size=(4, 3))})
         gap = rng.normal(size=(4, 3))
-        teacher = {"w": student["w"] + gap}
+        teacher = models.packed({"w": student["w"] + gap})
         for t in range(1, 1001):
-            teacher = TR.ema_update(teacher, student, alpha)
+            TR.ema_update(teacher, student, alpha)
             expected = alpha ** t * gap
             assert np.abs(teacher["w"] - student["w"] - expected).max() <= 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
-            TR.ema_update({"w": np.zeros(2)}, {"w": np.zeros(3)}, 0.5)
+            TR.ema_update(models.packed({"w": np.zeros(2)}), models.packed({"w": np.zeros(3)}), 0.5)
+
+
+def _per_name_adam(student, m, v, t, grads, lr):
+    """The per-parameter Adam update the flat one replaced, kept as its reference."""
+    b1, b2 = TR.ADAM_BETA1, TR.ADAM_BETA2
+    for name, p in student.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        m_hat = m[name] / (1 - b1 ** t)
+        v_hat = v[name] / (1 - b2 ** t)
+        student[name] = p - lr * m_hat / (np.sqrt(v_hat) + TR.ADAM_EPS)
+
+
+def _per_name_ema(teacher, student, alpha):
+    return {name: alpha * t + (1.0 - alpha) * student[name] for name, t in teacher.items()}
+
+
+def _bytes(arrays):
+    return b"".join(a.tobytes() for a in arrays)
+
+
+class TestFlatUpdates:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shapes=st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3), min_size=1,
+                           max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 6),
+           lr=st.sampled_from([1e-4, 1e-3, 0.3]), alpha=st.sampled_from([0.0, 0.5, 0.99]),
+           data=st.data())
+    def test_adam_and_ema_equal_the_per_name_loops(self, shapes, seed, steps, lr, alpha, data):
+        """Bit for bit, over several steps in which any gradient may be
+        missing, as a parameter the loss does not reach is."""
+        rng = np.random.default_rng(seed)
+        names = [f"p{i}" for i in range(len(shapes))]
+        init = {name: rng.normal(size=shape) for name, shape in zip(names, shapes)}
+        state = SimpleNamespace(student=models.packed(init), adam_steps=0,
+                                adam_m=np.zeros(sum(a.size for a in init.values())),
+                                adam_v=np.zeros(sum(a.size for a in init.values())))
+        teacher = models.packed({k: v + rng.normal(size=v.shape) for k, v in init.items()})
+        ref_student = dict(init)
+        ref_teacher = {k: v.copy() for k, v in teacher.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in init.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in init.items()}
+        for t in range(1, steps + 1):
+            present = data.draw(st.lists(st.booleans(), min_size=len(names),
+                                         max_size=len(names)))
+            scale = 10.0 ** rng.integers(-6, 3)
+            grads = {name: scale * rng.normal(size=init[name].shape)
+                     for name, keep in zip(names, present) if keep}
+            TR._adam_step(state, grads, lr)
+            TR.ema_update(teacher, state.student, alpha)
+            _per_name_adam(ref_student, ref_m, ref_v, t, grads, lr)
+            ref_teacher = _per_name_ema(ref_teacher, ref_student, alpha)
+            assert state.adam_steps == t
+            for name in names:
+                assert state.student[name].tobytes() == ref_student[name].tobytes()
+                assert teacher[name].tobytes() == ref_teacher[name].tobytes()
+            assert state.adam_m.tobytes() == _bytes(ref_m.values())
+            assert state.adam_v.tobytes() == _bytes(ref_v.values())
+        # the updates wrote into the buffers that the dicts view
+        assert models.flat(state.student).tobytes() == _bytes(ref_student.values())
+        assert models.flat(teacher).tobytes() == _bytes(ref_teacher.values())
+
+    def test_ema_rejects_a_plain_dict(self):
+        student = models.packed({"w": np.zeros(2)})
+        with pytest.raises(ContractError):
+            TR.ema_update({"w": np.zeros(2)}, student, 0.5)
+
+    @pytest.mark.parametrize("variant", ["mt", "te"])
+    def test_trainer_state_shares_one_layout(self, variant):
+        state = TR.init_trainer(quick_config(variant=variant), ARCH, small_splits().labeled)
+        buf = models.flat(state.student)
+        assert state.adam_m.shape == state.adam_v.shape == buf.shape
+        if variant == "mt":
+            assert models.flat(state.teacher).tobytes() == buf.tobytes()
+            assert not np.shares_memory(models.flat(state.teacher), buf)
 
 
 class TestCombineLosses:
@@ -307,10 +390,10 @@ class TestTrainingContracts:
                                   np.random.default_rng(0))
         views = perturb_pair(batches[0].inputs, cfg.perturb, (cfg.seed, TR._TAG_PERTURB, 0, 0),
                              sample_ids=batches[0].sample_ids)
-        before = {k: v.copy() for k, v in state.teacher.items()}
+        expected = models.packed(state.teacher)
         TR._train_step(state, batches[0], *views, 0, 0, 1.0, 1e-3, probe)
         # the new teacher must equal ema(old teacher, new student) exactly
-        expected = TR.ema_update(before, state.student, cfg.alpha)
+        TR.ema_update(expected, state.student, cfg.alpha)
         assert params_digest(expected) == params_digest(state.teacher)
 
     def test_probabilities_sum_to_one_throughout(self):

@@ -87,6 +87,14 @@ def worse_shift(parent: float, change: float, better: str) -> float:
     return shift / parent
 
 
+def won_and_tied(parent: list[float], change: list[float], better: str) -> tuple[int, int]:
+    """How many pairs ``change`` won, and how many tied, which count for
+    neither side."""
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    return won, sum(c == p for p, c in zip(parent, change))
+
+
 def judge_claim(parent: list[float], change: list[float], better: str) -> dict:
     """Whether paired values support claiming that ``change`` is better: it
     wins at least nine tenths of the pairs (a tie is neither a win nor a
@@ -94,8 +102,7 @@ def judge_claim(parent: list[float], change: list[float], better: str) -> dict:
     interquartile range."""
     sign = 1.0 if better == "higher" else -1.0
     pairs = len(parent)
-    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    tied = sum(c == p for p, c in zip(parent, change))
+    won, tied = won_and_tied(parent, change, better)
     q = quartiles(parent)
     gap = sign * (float(np.median(change)) - q["median"])
     iqr = q["q3"] - q["q1"]
@@ -118,10 +125,7 @@ def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
     for name in names:
         values = {side: [r["result"]["metrics"][name]["value"] for r in by_side[side]]
                   for side in SIDES}
-        sign = 1.0 if better[name] == "higher" else -1.0
-        pairs = list(zip(values["parent"], values["change"]))
-        won[name] = sum(sign * (c - p) > 0 for p, c in pairs)
-        tied[name] = sum(c == p for p, c in pairs)
+        won[name], tied[name] = won_and_tied(values["parent"], values["change"], better[name])
         if name == claim:
             out["claim"] = {"metric": name, **judge_claim(values["parent"], values["change"],
                                                           better[name])}
