@@ -55,11 +55,7 @@ def _cell(row: dict, column: str) -> str:
 
 
 def _cmd_report(args) -> int:
-    results = Path(args.dir) / "results.csv"
-    if not results.exists():
-        print(f"no results.csv under {args.dir}", file=sys.stderr)
-        return 1
-    rows = experiments.load_results_csv(results)
+    rows = experiments.load_results_csv(Path(args.dir) / "results.csv")
     summary = Path(args.dir) / "summary.csv"
     if summary.exists():
         print(summary.read_text(encoding="utf-8"))

@@ -16,9 +16,9 @@ immediately before the head) using inverted-dropout scaling, so evaluation
 needs no rescale. Feature taps expose the activations right before the
 global pooling (``pre_pool``, conv only) and right after it (``post_pool``).
 
-A model's parameters are named views, in order, into one float64 buffer
-(``flat``), which an optimizer or an EMA updates in place as a whole, so a
-snapshot of a parameter dict needs a copy (``packed``).
+A model's parameters are a ``Params``: named views, in order, into one
+float64 buffer, its ``flat``, which an optimizer or an EMA updates in place
+as a whole, so a snapshot is a new ``Params(params)``.
 
 Image batches, files and conv weights are NCHW and ``[Cout, Cin, 3, 3]``.
 Inside the conv net the activations are channels-last (NHWC): ``forward``
@@ -35,7 +35,16 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, DimensionError, UnsupportedTapError
 
-Params = dict[str, np.ndarray]
+
+class Params(dict):
+    """Named arrays that are views, in order, into one float64 buffer, ``flat``.
+    ``Params(arrays)`` copies any mapping of arrays into a new buffer."""
+
+    def __init__(self, arrays):
+        self.flat = np.concatenate([v.ravel() for v in arrays.values()], dtype=np.float64)
+        ends = np.cumsum([v.size for v in arrays.values()])[:-1]
+        super().__init__((name, part.reshape(v.shape))
+                         for (name, v), part in zip(arrays.items(), np.split(self.flat, ends)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +106,7 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 
 def init_params(spec: ArchSpec, rng: np.random.Generator) -> Params:
     """Glorot-uniform weights, zero biases; deterministic given the rng state."""
-    params: Params = {}
+    params = {}
     if spec.kind == "mlp":
         widths = (spec.input_shape[0],) + tuple(spec.hidden)
         for i in range(len(widths) - 1):
@@ -114,29 +123,7 @@ def init_params(spec: ArchSpec, rng: np.random.Generator) -> Params:
         head_in = channels[-1]
     params["head.w"] = _glorot(rng, (head_in, spec.num_classes), head_in, spec.num_classes)
     params["head.b"] = np.zeros(spec.num_classes)
-    return packed(params)
-
-
-def packed(params: Params) -> Params:
-    """A copy of ``params`` as named views, in order, into one new buffer."""
-    buf = np.concatenate([v.ravel() for v in params.values()], dtype=np.float64)
-    ends = np.cumsum([v.size for v in params.values()])[:-1]
-    return {name: part.reshape(v.shape)
-            for (name, v), part in zip(params.items(), np.split(buf, ends))}
-
-
-def flat(params: Params) -> np.ndarray:
-    """The buffer behind ``params``: the 1-D float64 array whose consecutive
-    slices its arrays are, in order. ContractError for any other dict."""
-    buf = next(iter(params.values())).base if params else None
-    ok = isinstance(buf, np.ndarray) and buf.ndim == 1 and buf.dtype == np.float64
-    start, address = 0, buf.ctypes.data if ok else 0
-    for v in params.values():
-        ok = ok and v.base is buf and v.flags.c_contiguous and v.ctypes.data == address + 8 * start
-        start += v.size
-    if not (ok and start == buf.size):
-        raise ContractError("parameters are not consecutive views into one buffer")
-    return buf
+    return Params(params)
 
 
 def _leaves(params: Params, trainable: bool) -> dict[str, T.Tensor]:

@@ -103,27 +103,26 @@ def _philox(key, counter: tuple) -> tuple[np.ndarray, ...]:
     keys = np.stack([k0, k1]).reshape((2,) + (1,) * (len(shape) - k0.ndim) + k0.shape)
     bumps = np.arange(_ROUNDS, dtype=np.uint64)[:, None] * _PHILOX_W
     round_keys = keys + bumps.reshape((_ROUNDS,) + column)
-    with np.errstate(over="ignore"):
-        for r in range(_ROUNDS):
-            # high words of the 128-bit products m * a from 32-bit halves, none
-            # of whose partial sums overflow: u = ah*ml + (al*ml >> 32),
-            # v = al*mh + (u & MASK32), hi = ah*mh + (u >> 32) + (v >> 32)
-            a_lo, a_hi = a & _MASK32, a >> _SHIFT32
-            u = a_hi * m_lo
-            v = a_lo * m_lo
-            v >>= _SHIFT32
-            u += v
-            np.multiply(a_lo, m_hi, out=v)
-            v += np.bitwise_and(u, _MASK32, out=a_lo)
-            hi = np.multiply(a_hi, m_hi, out=a_hi)
-            u >>= _SHIFT32
-            hi += u
-            v >>= _SHIFT32
-            hi += v
-            a *= m                          # the low words
-            b ^= hi[::-1]
-            b ^= round_keys[r]
-            a, b = b, a[::-1]
+    for r in range(_ROUNDS):
+        # high words of the 128-bit products m * a from 32-bit halves, none
+        # of whose partial sums overflow: u = ah*ml + (al*ml >> 32),
+        # v = al*mh + (u & MASK32), hi = ah*mh + (u >> 32) + (v >> 32)
+        a_lo, a_hi = a & _MASK32, a >> _SHIFT32
+        u = a_hi * m_lo
+        v = a_lo * m_lo
+        v >>= _SHIFT32
+        u += v
+        np.multiply(a_lo, m_hi, out=v)
+        v += np.bitwise_and(u, _MASK32, out=a_lo)
+        hi = np.multiply(a_hi, m_hi, out=a_hi)
+        u >>= _SHIFT32
+        hi += u
+        v >>= _SHIFT32
+        hi += v
+        a *= m                          # the low words
+        b ^= hi[::-1]
+        b ^= round_keys[r]
+        a, b = b, a[::-1]
     return a[0], b[0], a[1], b[1]
 
 

@@ -111,9 +111,9 @@ def check_ema_closed_form(steps: int) -> Check:
     rng = np.random.default_rng(5)
     worst = 0.0
     for alpha in (0.9, 0.99):
-        student = models.packed({"w": rng.normal(size=(5, 4))})
+        student = models.Params({"w": rng.normal(size=(5, 4))})
         gap = rng.normal(size=(5, 4))
-        teacher = models.packed({"w": student["w"] + gap})
+        teacher = models.Params({"w": student["w"] + gap})
         for t in range(1, steps + 1):
             ema_update(teacher, student, alpha)
             err = np.abs(teacher["w"] - student["w"] - alpha ** t * gap).max()

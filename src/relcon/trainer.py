@@ -35,10 +35,10 @@ consecutive batches at a time, each row still under its own batch's key;
 where two cores are usable, a helper thread draws the next group while the
 current one trains.
 
-The student, the teacher and Adam's moments share one buffer layout
-(``models.flat``), and both updates work on whole buffers in place: a
-parameter dict changes as training goes on, so a snapshot needs
-``models.packed``.
+The student and the teacher are ``models.Params``, and Adam's moments
+share the layout of the student's ``flat`` buffer. Both updates work on
+whole buffers in place, so a parameter dict changes as training goes on,
+and a snapshot is ``models.Params(params)``.
 """
 
 from __future__ import annotations
@@ -288,7 +288,9 @@ def learning_rate_for_epoch(cfg: TrainConfig, epoch: int) -> float:
 def ema_update(teacher: Params, student: Params, alpha: float) -> None:
     """teacher <- alpha * teacher + (1 - alpha) * student, elementwise over the
     two models' buffers, in place."""
-    t, s = models.flat(teacher), models.flat(student)
+    if not (isinstance(teacher, Params) and isinstance(student, Params)):
+        raise ContractError("ema_update needs two models.Params")
+    t, s = teacher.flat, student.flat
     if t.shape != s.shape:
         raise ContractError(f"teacher has {t.size} parameters, student {s.size}")
     t[...] = alpha * t + (1.0 - alpha) * s
@@ -340,13 +342,13 @@ def init_trainer(cfg: TrainConfig, arch: ArchSpec, labeled: Dataset) -> TrainerS
         raise ConfigError("labeled split is empty; every variant needs supervision")
     target, _ = VARIANT_TABLE[cfg.variant]
     student = models.init_params(arch, substream(cfg.seed, _TAG_INIT))
-    teacher = models.packed(student) if target == "ema" else None
+    teacher = Params(student) if target == "ema" else None
     temporal = TemporalStore(cfg.te_ensemble_rate, arch.num_classes) if target == "te" else None
     weights = losses.inverse_frequency_weights(labeled.labels, arch.num_classes)
     return TrainerState(
         config=cfg, arch=arch, student=student, teacher=teacher,
         class_weights=weights, multilabel=labeled.multilabel,
-        adam_m=np.zeros_like(models.flat(student)), adam_v=np.zeros_like(models.flat(student)),
+        adam_m=np.zeros_like(student.flat), adam_v=np.zeros_like(student.flat),
         temporal=temporal,
     )
 
@@ -355,7 +357,7 @@ def _adam_step(state: TrainerState, grads: dict[str, np.ndarray], lr: float) -> 
     state.adam_steps += 1
     t = state.adam_steps
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    p, m, v = models.flat(state.student), state.adam_m, state.adam_v
+    p, m, v = state.student.flat, state.adam_m, state.adam_v
     # a parameter the loss does not reach gets a zero gradient
     g = np.concatenate([grads.get(name, np.zeros(w.size)) for name, w in state.student.items()],
                        axis=None)

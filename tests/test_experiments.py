@@ -619,6 +619,14 @@ class TestFailureHandling:
         (line,) = captured.err.splitlines()
         assert line.startswith("data error: FormatError: ") and line.endswith(message)
 
+    def test_missing_results_csv_is_one_data_error(self, tmp_path, capsys):
+        assert cli.main(["report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("data error: FileNotFoundError: ")
+        assert line.endswith(str(tmp_path / "results.csv") + "'")
+
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_parallel_below_one_is_a_usage_error(self, tmp_path, capsys, parallel):
         cfg_path = tmp_path / "exp.cfg"

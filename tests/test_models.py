@@ -77,7 +77,8 @@ class TestLayout:
         for name, value in expected.items():
             assert params[name].shape == value.shape
             assert params[name].tobytes() == value.tobytes()
-        buf = models.flat(params)
+        assert isinstance(params, models.Params)
+        buf = params.flat
         assert buf.flags.c_contiguous and buf.dtype == np.float64
         assert buf.tobytes() == b"".join(v.tobytes() for v in expected.values())
         assert all(value.base is buf for value in params.values())
@@ -85,23 +86,14 @@ class TestLayout:
         buf[...] = 7.0
         assert all((value == 7.0).all() for value in params.values())
 
-    def test_packed_copies_into_a_new_buffer(self):
+    def test_params_copies_into_a_new_buffer(self):
         params = models.init_params(CONV, np.random.default_rng(0))
-        copy = models.packed(params)
-        assert models.flat(copy).tobytes() == models.flat(params).tobytes()
-        assert not np.shares_memory(models.flat(copy), models.flat(params))
-
-    @pytest.mark.parametrize("make", [
-        lambda p: {k: v.copy() for k, v in p.items()},
-        lambda p: dict(reversed(list(p.items()))),
-        lambda p: dict(list(p.items())[:-1]),
-        lambda p: {**p, "head.b": p["head.b"].copy()},
-        lambda p: {},
-    ], ids=["plain-copies", "reordered", "partial", "one-replaced", "empty"])
-    def test_flat_rejects_a_dict_that_is_not_one_buffer(self, make):
-        params = models.init_params(MLP, np.random.default_rng(0))
-        with pytest.raises(ContractError):
-            models.flat(make(params))
+        copy = models.Params(params)
+        assert list(copy) == list(params)
+        assert all(copy[name].shape == value.shape for name, value in params.items())
+        assert all(value.base is copy.flat for value in copy.values())
+        assert copy.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(copy.flat, params.flat)
 
 
 class TestForward:

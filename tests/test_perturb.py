@@ -1,6 +1,7 @@
 """Perturbation draws, transforms, and counter-keyed independence."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -568,6 +569,21 @@ class TestPerRowKeys:
         for v in (0, 1):
             want = np.concatenate([part[v] for part in parts])
             assert got[v].shape == want.shape and got[v].tobytes() == want.tobytes()
+
+    def test_integer_wraparound_signals_nothing(self):
+        """Philox's uint64 products wrap by design: image views with noise and
+        per-row keys raise no numpy error or warning under
+        ``np.errstate(all="raise")``, and keep their bytes."""
+        x = np.random.default_rng(0).normal(size=(5, 2, 7, 7))
+        keys = np.array([[0, 2 ** 62], [1, 5], [1, 5], [2 ** 62 + 9, 3], [7, 0]])
+        ids = np.array([0, 3, 4, 2 ** 40, 11])
+        cfg = P.PerturbConfig(rotation_deg_max=30.0, translate_frac_max=0.2, flip_prob=0.5,
+                              noise_enabled=True)
+        want = P.perturb_pair(x, cfg, keys, sample_ids=ids)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = P.perturb_pair(x, cfg, keys, sample_ids=ids)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_key_rows_must_match_batch(self):
         x = np.zeros((3, 4))

@@ -65,22 +65,22 @@ class TestRampUp:
 
 class TestEmaUpdate:
     def test_simple_step(self):
-        out = models.packed({"w": np.array([1.0])})
-        TR.ema_update(out, models.packed({"w": np.array([0.0])}), 0.99)
+        out = models.Params({"w": np.array([1.0])})
+        TR.ema_update(out, models.Params({"w": np.array([0.0])}), 0.99)
         assert out["w"][0] == 0.99
 
     def test_alpha_zero_copies_student(self):
-        student = models.packed({"w": np.array([3.0, 4.0])})
-        out = models.packed({"w": np.zeros(2)})
+        student = models.Params({"w": np.array([3.0, 4.0])})
+        out = models.Params({"w": np.zeros(2)})
         TR.ema_update(out, student, 0.0)
         assert np.array_equal(out["w"], student["w"])
 
     @pytest.mark.parametrize("alpha", [0.9, 0.99])
     def test_constant_student_geometric_gap(self, alpha):
         rng = np.random.default_rng(0)
-        student = models.packed({"w": rng.normal(size=(4, 3))})
+        student = models.Params({"w": rng.normal(size=(4, 3))})
         gap = rng.normal(size=(4, 3))
-        teacher = models.packed({"w": student["w"] + gap})
+        teacher = models.Params({"w": student["w"] + gap})
         for t in range(1, 1001):
             TR.ema_update(teacher, student, alpha)
             expected = alpha ** t * gap
@@ -88,7 +88,7 @@ class TestEmaUpdate:
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
-            TR.ema_update(models.packed({"w": np.zeros(2)}), models.packed({"w": np.zeros(3)}), 0.5)
+            TR.ema_update(models.Params({"w": np.zeros(2)}), models.Params({"w": np.zeros(3)}), 0.5)
 
 
 def _per_name_adam(student, m, v, t, grads, lr):
@@ -126,10 +126,10 @@ class TestFlatUpdates:
         rng = np.random.default_rng(seed)
         names = [f"p{i}" for i in range(len(shapes))]
         init = {name: rng.normal(size=shape) for name, shape in zip(names, shapes)}
-        state = SimpleNamespace(student=models.packed(init), adam_steps=0,
+        state = SimpleNamespace(student=models.Params(init), adam_steps=0,
                                 adam_m=np.zeros(sum(a.size for a in init.values())),
                                 adam_v=np.zeros(sum(a.size for a in init.values())))
-        teacher = models.packed({k: v + rng.normal(size=v.shape) for k, v in init.items()})
+        teacher = models.Params({k: v + rng.normal(size=v.shape) for k, v in init.items()})
         ref_student = dict(init)
         ref_teacher = {k: v.copy() for k, v in teacher.items()}
         ref_m = {k: np.zeros_like(v) for k, v in init.items()}
@@ -151,22 +151,38 @@ class TestFlatUpdates:
             assert state.adam_m.tobytes() == _bytes(ref_m.values())
             assert state.adam_v.tobytes() == _bytes(ref_v.values())
         # the updates wrote into the buffers that the dicts view
-        assert models.flat(state.student).tobytes() == _bytes(ref_student.values())
-        assert models.flat(teacher).tobytes() == _bytes(ref_teacher.values())
+        assert state.student.flat.tobytes() == _bytes(ref_student.values())
+        assert teacher.flat.tobytes() == _bytes(ref_teacher.values())
 
-    def test_ema_rejects_a_plain_dict(self):
-        student = models.packed({"w": np.zeros(2)})
+    @pytest.mark.parametrize("teacher_side", [True, False], ids=["teacher", "student"])
+    @pytest.mark.parametrize("make", [
+        lambda p: {k: v.copy() for k, v in p.items()},
+        lambda p: dict(reversed(list(p.items()))),
+        lambda p: dict(list(p.items())[:-1]),
+        lambda p: {**p, "head.b": p["head.b"].copy()},
+        lambda p: {},
+    ], ids=["plain-copies", "reordered", "partial", "one-replaced", "empty"])
+    def test_ema_rejects_a_dict_that_is_not_params(self, make, teacher_side):
+        params = models.init_params(ARCH, np.random.default_rng(0))
+        other = make(params)
         with pytest.raises(ContractError):
-            TR.ema_update({"w": np.zeros(2)}, student, 0.5)
+            if teacher_side:
+                TR.ema_update(other, params, 0.5)
+            else:
+                TR.ema_update(params, other, 0.5)
 
-    @pytest.mark.parametrize("variant", ["mt", "te"])
+    @pytest.mark.parametrize("variant", TR.VARIANTS)
     def test_trainer_state_shares_one_layout(self, variant):
         state = TR.init_trainer(quick_config(variant=variant), ARCH, small_splits().labeled)
-        buf = models.flat(state.student)
+        assert isinstance(state.student, models.Params)
+        buf = state.student.flat
         assert state.adam_m.shape == state.adam_v.shape == buf.shape
-        if variant == "mt":
-            assert models.flat(state.teacher).tobytes() == buf.tobytes()
-            assert not np.shares_memory(models.flat(state.teacher), buf)
+        if TR.VARIANT_TABLE[variant][0] == "ema":
+            assert isinstance(state.teacher, models.Params)
+            assert state.teacher.flat.tobytes() == buf.tobytes()
+            assert not np.shares_memory(state.teacher.flat, buf)
+        else:
+            assert state.teacher is None
 
 
 class TestCombineLosses:
@@ -390,7 +406,7 @@ class TestTrainingContracts:
                                   np.random.default_rng(0))
         views = perturb_pair(batches[0].inputs, cfg.perturb, (cfg.seed, TR._TAG_PERTURB, 0, 0),
                              sample_ids=batches[0].sample_ids)
-        expected = models.packed(state.teacher)
+        expected = models.Params(state.teacher)
         TR._train_step(state, batches[0], *views, 0, 0, 1.0, 1e-3, probe)
         # the new teacher must equal ema(old teacher, new student) exactly
         TR.ema_update(expected, state.student, cfg.alpha)
