@@ -38,13 +38,17 @@ from .errors import ContractError, DimensionError, UnsupportedTapError
 
 class Params(dict):
     """Named arrays that are views, in order, into one float64 buffer, ``flat``.
-    ``Params(arrays)`` copies any mapping of arrays into a new buffer."""
+    ``Params(arrays)`` copies any mapping of arrays into a new buffer; so do
+    ``copy.copy``, ``copy.deepcopy`` and unpickling, which rebuild through it."""
 
     def __init__(self, arrays):
         self.flat = np.concatenate([v.ravel() for v in arrays.values()], dtype=np.float64)
         ends = np.cumsum([v.size for v in arrays.values()])[:-1]
         super().__init__((name, part.reshape(v.shape))
                          for (name, v), part in zip(arrays.items(), np.split(self.flat, ends)))
+
+    def __reduce__(self):
+        return Params, (dict(self),)
 
 
 @dataclass(frozen=True)

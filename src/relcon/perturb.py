@@ -5,12 +5,12 @@ the student and teacher come from disjoint random streams. The draws are
 counter-based: one Philox4x64-10 call (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011) makes the words of every sample and
 view, block ``b`` of sample ``i`` in view ``v`` being the cipher of the
-counter (b, v, id_i, 0) under the key of row i. The key comes from a master
-key, one for the whole call or one per row. The trainer keys each row by its
-batch's step key, and one call may span several batches: a row's draw is a
-function of its key and id alone, so it does not depend on where it lands in
-the call, on what other samples are present, or on how an epoch's batches
-are grouped into calls.
+counter (b, v, id_i, 0) under the key of row i. That key comes from the
+row's master key, and one master key may serve every row of a call. The
+trainer keys each row by its batch's step key, and one call may span
+several batches: a row's draw is a function of its key and id alone, so it
+does not depend on where it lands in the call, on what other samples are
+present, or on how an epoch's batches are grouped into calls.
 
 Block 0 holds an image view's geometry: the rotation angle, the two shifts
 and the two flips. Blocks 1 onward hold the noise, one 64-bit word per pair
@@ -227,33 +227,32 @@ def apply_draws(x: np.ndarray, geometry: Geometry | None,
 
 
 def _key_words(master_key, n: int) -> np.ndarray:
-    """The two Philox key words, indexed on their first axis: two words for
-    one master key, or [2, N, 1] for an [N, L] array of one key per row.
-    Rows that share a key share one ``SeedSequence`` derivation."""
-    if np.ndim(master_key) != 2:
-        return np.random.SeedSequence([int(k) for k in master_key]).generate_state(2, np.uint64)
+    """The two Philox key words of each of ``n`` rows, [2, N, 1], from one
+    integer master key per row ([N, L]) or one for every row (1-D). Each run
+    of equal adjacent rows derives its words with one ``SeedSequence``."""
     keys = np.asarray(master_key)
-    if keys.shape[0] != n or not np.issubdtype(keys.dtype, np.integer):
+    if keys.ndim == 1:
+        keys = np.broadcast_to(keys, (n, keys.size))
+    if keys.ndim != 2 or keys.shape[0] != n or not np.issubdtype(keys.dtype, np.integer):
         raise ContractError(f"perturb_pair: need one integer key per row, got {keys.shape} "
                             f"{keys.dtype} keys for {n} rows")
     if keys.size and keys.min() < 0:
         raise ContractError("perturb_pair: keys must be >= 0")
-    # runs of equal rows first: np.unique over whole rows sorts slowly
     heads = np.ones(n, dtype=bool)
     heads[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    unique, inverse = np.unique(keys[heads], axis=0, return_inverse=True)
+    starts = np.flatnonzero(heads)
     words = np.array([np.random.SeedSequence([int(k) for k in row]).generate_state(2, np.uint64)
-                      for row in unique], dtype=np.uint64).reshape(-1, 2)
-    return words[inverse.reshape(-1)[np.cumsum(heads) - 1]].T[:, :, None]
+                      for row in keys[starts]], dtype=np.uint64).reshape(-1, 2)
+    return np.repeat(words, np.diff(starts, append=n), axis=0).T[:, :, None]
 
 
 def perturb_pair(x: np.ndarray, cfg: PerturbConfig, master_key,
                  sample_ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Two independently perturbed views of a batch.
 
-    ``master_key`` is one tuple of non-negative ints for the whole batch, or
-    an [N, L] integer array of one key per row; a row's Philox key comes
-    from its own master key. Sample i's words in view v are counted on
+    ``master_key`` is an [N, L] integer array of one non-negative key per
+    row, or one 1-D key, such as a tuple, for every row; a row's Philox key
+    comes from its master key. Sample i's words in view v are counted on
     (block, v, id_i, 0), view 0 for the student and view 1 for the teacher,
     so the two views are independent, and a row's draw depends on its key
     and id alone: it is stable under batch recomposition, and rows keyed by

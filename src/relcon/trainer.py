@@ -33,7 +33,8 @@ counted on each sample's id and view, so recomputation or extra reads
 never shift unrelated draws. An epoch's views are drawn a group of
 consecutive batches at a time, each row still under its own batch's key;
 where two cores are usable, a helper thread draws the next group while the
-current one trains.
+current one trains, held in a ``with`` block that joins it however the
+epoch ends.
 
 The student and the teacher are ``models.Params``, and Adam's moments
 share the layout of the student's ``flat`` buffer. Both updates work on
@@ -43,7 +44,6 @@ and a snapshot is ``models.Params(params)``.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
@@ -461,32 +461,6 @@ def _group_views(cfg: TrainConfig, batches: list[Batch], group: range,
     return np.split(views[0], splits), np.split(views[1], splits)
 
 
-def _perturbed_batches(cfg: TrainConfig, batches: list[Batch], epoch: int):
-    """Yield (batch index, batch, student view, target view) for each batch.
-
-    The views are drawn a group of batches per ``perturb_pair`` call (see
-    ``_batch_groups``). Each row is keyed by its own batch's step key (seed,
-    purpose, epoch, batch), so the views do not depend on the grouping, nor
-    on when or on which thread a group is drawn. The caller draws the first
-    group. With two or more groups and two usable cores, one helper thread
-    draws group k + 1 while the caller trains on group k: numpy releases the
-    interpreter lock in the Philox and Box-Muller ufuncs. Otherwise each
-    group is drawn when its first batch is due. The helper is shut down
-    when the generator finishes or is closed, so close it on every exit.
-    """
-    groups = _batch_groups(batches)
-    ahead = len(groups) >= 2 and _usable_cores() >= 2
-    # an executor starts no thread before its first submit
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        following = None
-        for k, group in enumerate(groups):
-            views = following.result() if following is not None else \
-                _group_views(cfg, batches, group, epoch)
-            following = helper.submit(_group_views, cfg, batches, groups[k + 1], epoch) \
-                if ahead and k + 1 < len(groups) else None
-            yield from zip(group, (batches[i] for i in group), *views)
-
-
 def _train_step(state: TrainerState, batch: Batch, view_s: np.ndarray, view_t: np.ndarray,
                 epoch: int, batch_idx: int, ramp_weight: float, lr: float,
                 probe: Callable[[dict], None] | None = None) -> LossBreakdown:
@@ -594,7 +568,12 @@ def _self_training_pool(state: TrainerState, splits: Splits) -> Dataset:
 
 def train_epoch(state: TrainerState, splits: Splits,
                 probe: Callable[[dict], None] | None = None) -> CurvePoint:
-    """Run one epoch (state is advanced in place) and return its curve point."""
+    """Run one epoch (state is advanced in place) and return its curve point.
+
+    The caller draws the first group of views (see ``_batch_groups``). With
+    two or more groups and two usable cores, a helper thread draws group
+    k + 1 while group k trains (numpy releases the interpreter lock in the
+    Philox and Box-Muller ufuncs); otherwise each group is drawn when due."""
     cfg = state.config
     epoch = state.epoch
     if epoch >= cfg.total_epochs:
@@ -611,14 +590,22 @@ def train_epoch(state: TrainerState, splits: Splits,
     # a plan without unlabeled slots never reads the unlabeled split
     batches = epoch_batches(pool, splits.unlabeled, cfg.plan, batch_rng)
 
+    groups = _batch_groups(batches)
+    ahead = len(groups) >= 2 and _usable_cores() >= 2
     sums = np.zeros(3)
-    # closing shuts the draw-ahead thread down even when a step raises, so
-    # none outlives the epoch into a process that run_experiment forks
-    with contextlib.closing(_perturbed_batches(cfg, batches, epoch)) as views:
-        for batch_idx, batch, view_s, view_t in views:
-            bd = _train_step(state, batch, view_s, view_t, epoch, batch_idx, ramp_weight,
-                             lr, probe)
-            sums += (bd.supervised, bd.consistency, bd.relation)
+    # leaving the block joins the helper even when a step raises, so none
+    # outlives the epoch into a process that run_experiment forks
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        following = None
+        for k, group in enumerate(groups):
+            views = following.result() if following is not None else \
+                _group_views(cfg, batches, group, epoch)
+            following = helper.submit(_group_views, cfg, batches, groups[k + 1], epoch) \
+                if ahead and k + 1 < len(groups) else None
+            for batch_idx, view_s, view_t in zip(group, *views):
+                bd = _train_step(state, batches[batch_idx], view_s, view_t, epoch, batch_idx,
+                                 ramp_weight, lr, probe)
+                sums += (bd.supervised, bd.consistency, bd.relation)
     means = sums / max(1, len(batches))
 
     if state.temporal is not None:

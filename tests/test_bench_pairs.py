@@ -1,6 +1,8 @@
 """tools/bench_pairs.py: the summary of alternating parent/change pairs."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,31 @@ def test_claim_on_a_lower_is_better_metric():
     assert claim["median_gap"] == pytest.approx(10.0)
     assert claim["won"] == 4 and claim["met"]
     assert "claim" not in bench_pairs.summarise(runs, BETTER, BOUNDS)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_tree_state_names_the_commit_and_tracked_edits(tmp_path):
+    """A checkout's HEAD, dirty only when a tracked file differs from it; a
+    directory that is not the top of a checkout gives nulls."""
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+    (repo / "sub" / "a.txt").write_text("one\n")
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c",
+                               "user.email=t@example.com", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    assert bench_pairs.tree_state(repo) == {"head": head, "dirty": False}
+    (repo / "new.txt").write_text("untracked\n")
+    assert bench_pairs.tree_state(repo) == {"head": head, "dirty": False}
+    (repo / "sub" / "a.txt").write_text("two\n")
+    assert bench_pairs.tree_state(repo) == {"head": head, "dirty": True}
+    assert bench_pairs.tree_state(repo / "sub") == {"head": None, "dirty": None}
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_pairs.tree_state(plain) == {"head": None, "dirty": None}

@@ -1,5 +1,8 @@
 """Model zoo: initialization, dropout contract, taps."""
 
+import copy as copy_module
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +97,20 @@ class TestLayout:
         assert all(value.base is copy.flat for value in copy.values())
         assert copy.flat.tobytes() == params.flat.tobytes()
         assert not np.shares_memory(copy.flat, params.flat)
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_every_copy_views_its_own_buffer(self, how):
+        """A copy's arrays view its own ``flat``, which shares no memory with
+        the original's, so an in-place update of the buffer reaches them."""
+        params = models.init_params(CONV, np.random.default_rng(0))
+        copy = {"copy": copy_module.copy, "deepcopy": copy_module.deepcopy,
+                "pickle": lambda p: pickle.loads(pickle.dumps(p))}[how](params)
+        assert type(copy) is models.Params and list(copy) == list(params)
+        assert all(value.base is copy.flat for value in copy.values())
+        assert copy.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(copy.flat, params.flat)
+        copy.flat[...] += 1.0
+        assert all(np.array_equal(copy[name], value + 1.0) for name, value in params.items())
 
 
 class TestForward:

@@ -593,3 +593,24 @@ class TestPerRowKeys:
             P.perturb_pair(x, _noisy_cfg(), np.array([[0], [1], [-1]]))
         with pytest.raises(ContractError):
             P.perturb_pair(x, _noisy_cfg(), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("key", [(1, -2), (1, 1.5), (), 5])
+    def test_one_key_passes_the_per_row_check(self, key):
+        """A key for every row meets the per-row keys' contract: non-negative
+        integers, at least one, in a 1-D sequence."""
+        with pytest.raises(ContractError):
+            P.perturb_pair(np.zeros((3, 4)), _noisy_cfg(), key)
+
+    def test_keys_repeated_apart_equal_per_key_calls(self):
+        """Rows keyed A, A, B, A: the third run derives A's words again and
+        draws what one call keyed A gives its rows, byte for byte."""
+        x = np.random.default_rng(1).normal(size=(4, 1, 5, 5))
+        ids = np.array([3, 0, 8, 5])
+        cfg = P.PerturbConfig(rotation_deg_max=30.0, translate_frac_max=0.2, noise_enabled=True)
+        a, b = (4, 2, 0, 1), (4, 2, 0, 2)
+        got = P.perturb_pair(x, cfg, np.array([a, a, b, a], dtype=np.uint64), sample_ids=ids)
+        want = [P.perturb_pair(x[[0, 1, 3]], cfg, a, sample_ids=ids[[0, 1, 3]]),
+                P.perturb_pair(x[[2]], cfg, b, sample_ids=ids[[2]])]
+        for v in (0, 1):
+            assert got[v][[0, 1, 3]].tobytes() == want[0][v].tobytes()
+            assert got[v][[2]].tobytes() == want[1][v].tobytes()

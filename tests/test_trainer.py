@@ -573,38 +573,46 @@ class TestDrawAhead:
     @pytest.mark.parametrize("bound, groups", [(None, 1), (6912, 2), (2304, 6)])
     def test_views_equal_one_inline_call_per_group(self, monkeypatch, cores, bound, groups):
         """11 batches of 18 8x8 images and one of 17: the default bound makes
-        one group, 6912 values two of six batches, 2304 six of two. Every
-        yielded view equals its group's perturb_pair call drawn in line; with
-        two cores and two or more groups, every group after the first is
-        drawn on one helper thread."""
+        one group, 6912 values two of six batches, 2304 six of two.
+        ``train_epoch`` steps on every batch in order, and each view it
+        passes equals its group's perturb_pair call drawn in line; with two
+        cores and two or more groups, every group after the first is drawn
+        on one helper thread."""
         if bound is not None:
             monkeypatch.setattr(TR, "PERTURB_BLOCK_VALUES", bound)
         _cores(monkeypatch, cores)
-        threads = []
+        threads, stepped = [], []
 
         def recording(*args, **kwargs):
             threads.append(threading.get_ident())
             return perturb_pair(*args, **kwargs)
 
+        step = TR._train_step
+
+        def recording_step(state, batch, view_s, view_t, epoch, batch_idx, *args):
+            stepped.append((batch_idx, batch, view_s, view_t))
+            return step(state, batch, view_s, view_t, epoch, batch_idx, *args)
+
         monkeypatch.setattr(TR, "perturb_pair", recording)
+        monkeypatch.setattr(TR, "_train_step", recording_step)
         splits = small_splits()
         cfg = quick_config(variant="src_mt", perturb=PerturbConfig(noise_enabled=True))
-        batches = D.epoch_batches(splits.labeled, splits.unlabeled, cfg.plan,
-                                  np.random.default_rng(5))
-        yielded = list(TR._perturbed_batches(cfg, batches, epoch=3))
-        assert [row[0] for row in yielded] == list(range(len(batches))) and len(batches) == 12
-        assert all(row[1] is batch for row, batch in zip(yielded, batches))
+        state = TR.init_trainer(cfg, ARCH, splits.labeled)
+        state.epoch = 1
+        TR.train_epoch(state, splits)
+        assert [row[0] for row in stepped] == list(range(12))
+        batches = [row[1] for row in stepped]
 
         per_group = -(-len(batches) // groups)
         for start in range(0, len(batches), per_group):
             group = range(start, min(start + per_group, len(batches)))
-            keys = np.concatenate([np.tile([cfg.seed, TR._TAG_PERTURB, 3, i],
+            keys = np.concatenate([np.tile([cfg.seed, TR._TAG_PERTURB, 1, i],
                                            (batches[i].size, 1)) for i in group])
             views = perturb_pair(np.concatenate([batches[i].inputs for i in group]),
                                  cfg.perturb, keys.astype(np.uint64),
                                  sample_ids=np.concatenate([batches[i].sample_ids
                                                             for i in group]))
-            got = [np.concatenate([yielded[i][2 + v] for i in group]) for v in (0, 1)]
+            got = [np.concatenate([stepped[i][2 + v] for i in group]) for v in (0, 1)]
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, views))
         main = threading.get_ident()
         assert len(threads) == groups and threads[0] == main

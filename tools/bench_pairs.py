@@ -29,6 +29,12 @@ not as unchanged. Untraced pairs summarise the end-to-end metrics under
 for a workload replaces its summary and runs of the same ``--trace`` and
 keeps the rest of the file.
 
+Each summary's ``trees`` names the two trees it compared: for each side the
+commit checked out at its root (``git rev-parse HEAD``) and whether any
+tracked file differs from that commit (``git status --porcelain
+--untracked-files=no`` prints anything); both are null where the root is
+not the top of a git checkout.
+
 ``--claim METRIC`` also records under the summary's ``claim`` whether the
 pairs support claiming a gain on METRIC: the change must win at least nine
 tenths of the pairs, a tie counting for neither side, and the gap between
@@ -73,6 +79,23 @@ def run_once(root: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     return {"workload": workload, "pair": seed, "seed": seed, "trace": trace,
             "seconds": seconds, "exit": proc.returncode, "result": result,
             "ru_minflt": faults, "wall_s": round(wall_s, 3)}
+
+
+def tree_state(root: Path) -> dict:
+    """The commit checked out at ``root`` and whether a tracked file differs
+    from it; both None where ``root`` is not the top of a git checkout."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+
+    try:
+        top = git("rev-parse", "--show-toplevel", "HEAD")
+        status = git("status", "--porcelain", "--untracked-files=no")
+    except OSError:   # no git on the path
+        return {"head": None, "dirty": None}
+    lines = top.stdout.split()
+    if top.returncode or status.returncode or Path(lines[0]).resolve() != root.resolve():
+        return {"head": None, "dirty": None}
+    return {"head": lines[1], "dirty": bool(status.stdout.strip())}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -212,6 +235,7 @@ def main(argv=None) -> int:
     bench["environment"] = environment()
     key = "traced_rounds" if args.trace else "summary"
     summary = summarise(runs, better, bounds, args.claim)
+    summary["trees"] = {side: tree_state(root) for side, root in roots.items()}
     bench.setdefault(key, {})[args.workload] = summary
     kept = [r for r in bench.get("runs", [])
             if (r["workload"], r["trace"]) != (args.workload, args.trace)]
