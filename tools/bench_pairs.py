@@ -92,7 +92,7 @@ def tree_state(root: Path) -> dict:
         status = git("status", "--porcelain", "--untracked-files=no")
     except OSError:   # no git on the path
         return {"head": None, "dirty": None}
-    lines = top.stdout.split()
+    lines = top.stdout.splitlines()
     if top.returncode or status.returncode or Path(lines[0]).resolve() != root.resolve():
         return {"head": None, "dirty": None}
     return {"head": lines[1], "dirty": bool(status.stdout.strip())}
