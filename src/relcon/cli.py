@@ -63,7 +63,7 @@ def _cmd_report(args) -> int:
         print(f"deltas vs {args.baseline}:")
         table = experiments.compare_table(rows, args.baseline)
         _print_table(table, ["variant", "beta", "labeled_fraction", "runs",
-                             *(f"d_{m}" for m in experiments._METRIC_NAMES)])
+                             *(f"d_{m}" for m in experiments.METRIC_NAMES)])
     return 0
 
 

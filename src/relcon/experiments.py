@@ -29,6 +29,7 @@ import multiprocessing
 import time
 import traceback
 import typing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -333,7 +334,11 @@ def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, float, float, int]]:
     count = math.prod(map(len, axes))
     if count > MAX_SWEEP_CELLS:
         raise ConfigError(f"sweep would run {count} cells (limit {MAX_SWEEP_CELLS})")
-    return list(itertools.product(*axes))
+    cells = list(itertools.product(*axes))
+    [(name, uses)] = Counter(ResultRow(*cell, None).run_name for cell in cells).most_common(1)
+    if uses > 1:
+        raise ConfigError(f"[sweep] {uses} cells would share the run directory runs/{name}")
+    return cells
 
 
 def _split_seed(base_seed: int, run_seed: int) -> int:
@@ -393,8 +398,11 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport
 
 
 # the scalar fields of MetricsReport, in declaration order
-_METRIC_NAMES = tuple(name for name, hint in typing.get_type_hints(MetricsReport).items()
-                      if hint is float)
+METRIC_NAMES = tuple(name for name, hint in typing.get_type_hints(MetricsReport).items()
+                     if hint is float)
+# results.csv's columns in order, each with the type load_results_csv reads it as
+RESULTS_COLUMNS: dict[str, type] = {"variant": str, "beta": float, "labeled_fraction": float,
+                                    "seed": int, **dict.fromkeys(METRIC_NAMES, float)}
 
 
 def _csv_text(rows) -> str:
@@ -406,26 +414,26 @@ def _csv_text(rows) -> str:
 
 def _row_metrics(row: ResultRow) -> list[float]:
     if row.metrics is None:
-        return [float("nan")] * len(_METRIC_NAMES)
-    return [getattr(row.metrics, name) for name in _METRIC_NAMES]
+        return [float("nan")] * len(METRIC_NAMES)
+    return [getattr(row.metrics, name) for name in METRIC_NAMES]
 
 
 def results_csv_text(report: ExperimentReport) -> str:
-    header = ["variant", "beta", "labeled_fraction", "seed", *_METRIC_NAMES]
-    return _csv_text([header] + [[row.variant, row.beta, row.labeled_fraction, row.seed,
-                                  *_row_metrics(row)] for row in report.rows])
+    return _csv_text([list(RESULTS_COLUMNS)] + [
+        [row.variant, row.beta, row.labeled_fraction, row.seed, *_row_metrics(row)]
+        for row in report.rows])
 
 
 def summary_csv_text(report: ExperimentReport) -> str:
     lines = [["variant", "beta", "labeled_fraction", "runs",
-              *(f"{name}_{stat}" for name in _METRIC_NAMES for stat in ("mean", "sd"))]]
+              *(f"{name}_{stat}" for name in METRIC_NAMES for stat in ("mean", "sd"))]]
     groups: dict[tuple, list[ResultRow]] = {}
     for row in report.rows:
         groups.setdefault((row.variant, row.beta, row.labeled_fraction), []).append(row)
     for key, rows in groups.items():
         values = np.array([_row_metrics(r) for r in rows if r.metrics is not None])
         cols = [*key, len(values)]
-        for j in range(len(_METRIC_NAMES)):
+        for j in range(len(METRIC_NAMES)):
             if len(values) == 0:
                 cols += [float("nan"), float("nan")]
             else:
@@ -484,15 +492,13 @@ def load_results_csv(path) -> list[dict]:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text", offset=exc.start) from None
     header = lines[0].split(",") if lines else []
-    numbers = {"beta": float, "labeled_fraction": float, "seed": int,
-               **dict.fromkeys(_METRIC_NAMES, float)}
-    missing = [key for key in ("variant", *numbers) if key not in header]
+    missing = [key for key in RESULTS_COLUMNS if key not in header]
     if missing:
         raise FormatError(f"{path} line 1: no {missing[0]} column")
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         row: dict = dict(zip(header, line.split(",")))
-        for key, kind in numbers.items():
+        for key, kind in RESULTS_COLUMNS.items():
             try:
                 row[key] = kind(row[key])
             except (KeyError, ValueError):
@@ -503,7 +509,7 @@ def load_results_csv(path) -> list[dict]:
 
 
 def _mean_metrics(rows: list[dict]) -> np.ndarray:
-    return np.array([[r[m] for m in _METRIC_NAMES] for r in rows]).mean(axis=0)
+    return np.array([[r[m] for m in METRIC_NAMES] for r in rows]).mean(axis=0)
 
 
 def compare_table(rows: list[dict], baseline_variant: str) -> list[dict]:
@@ -526,7 +532,7 @@ def compare_table(rows: list[dict], baseline_variant: str) -> list[dict]:
         delta = _mean_metrics(members) - _mean_metrics(base[frac])
         entry = {"variant": variant, "beta": beta, "labeled_fraction": frac,
                  "runs": len(members)}
-        entry.update({f"d_{m}": float(d) for m, d in zip(_METRIC_NAMES, delta)})
+        entry.update({f"d_{m}": float(d) for m, d in zip(METRIC_NAMES, delta)})
         out.append(entry)
     out.sort(key=lambda e: -e["d_auc"])
     return out

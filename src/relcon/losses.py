@@ -49,19 +49,18 @@ def inverse_frequency_weights(labels: np.ndarray, num_classes: int) -> np.ndarra
     return w * (num_classes / w.sum())
 
 
-def weighted_cross_entropy(logits, labels, class_weights: np.ndarray | None = None) -> T.Tensor:
+def weighted_cross_entropy(logits, labels, class_weights: np.ndarray) -> T.Tensor:
     """Class-weighted cross-entropy, averaged over the batch.
 
     Integer labels select single-label mode (softmax cross-entropy via
     log-sum-exp); a 2-D 0/1 matrix selects multi-label mode (per-class
-    sigmoid binary cross-entropy, averaged over batch and classes).
+    sigmoid binary cross-entropy, averaged over batch and classes). Each
+    class's terms are scaled by its entry of ``class_weights``, K positive values.
     """
     logits = _as_node(logits)
     if logits.ndim != 2:
         raise DimensionError(f"logits must be [B, K], got {logits.shape}")
     b, k = logits.shape
-    if class_weights is None:
-        class_weights = np.ones(k)
     class_weights = np.asarray(class_weights, dtype=np.float64)
     if class_weights.shape != (k,) or (class_weights <= 0).any():
         raise ContractError("class_weights must be K positive values")
@@ -146,13 +145,11 @@ def feature_consistency_loss(a_student, a_teacher) -> T.Tensor:
     return T.scale(T.frobenius_sq(T.sub(a_student, a_teacher)), 1.0 / a_student.data.size)
 
 
-def distance_matrix(r1, r2, amplify: float = 3.0) -> np.ndarray:
-    """Amplified absolute difference of two relation matrices, clipped to
-    [0, 1] for rendering."""
-    if amplify <= 0:
-        raise ContractError("amplify must be > 0")
+def distance_matrix(r1, r2) -> np.ndarray:
+    """Absolute difference of two relation matrices amplified 3x, so that
+    small gaps show, and clipped to [0, 1] for rendering."""
     r1 = r1.data if isinstance(r1, T.Tensor) else np.asarray(r1, dtype=np.float64)
     r2 = r2.data if isinstance(r2, T.Tensor) else np.asarray(r2, dtype=np.float64)
     if r1.shape != r2.shape:
         raise DimensionError(f"shapes {r1.shape} and {r2.shape} differ")
-    return np.clip(amplify * np.abs(r1 - r2), 0.0, 1.0)
+    return np.clip(3.0 * np.abs(r1 - r2), 0.0, 1.0)

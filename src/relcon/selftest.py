@@ -186,13 +186,12 @@ ALL_CHECKS = (
 )
 
 
-def run_all(verbose: bool = True) -> int:
+def run_all() -> int:
     failures = 0
     for check, counts in ALL_CHECKS:
         name, ok, detail = check(*counts)
         failures += 0 if ok else 1
-        if verbose:
-            status = "PASS" if ok else "FAIL"
-            suffix = f"  ({detail})" if detail else ""
-            print(f"[{status}] {name}{suffix}")
+        status = "PASS" if ok else "FAIL"
+        suffix = f"  ({detail})" if detail else ""
+        print(f"[{status}] {name}{suffix}")
     return failures

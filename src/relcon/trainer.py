@@ -186,37 +186,26 @@ class CurvePoint:
 class TemporalStore:
     """Per-sample running average of predictions, in arrays indexed by sample id.
 
-    ``record`` keeps each sample's latest prediction of the epoch;
-    ``apply_epoch_update`` folds them in as ensemble <- rate * ensemble +
-    (1 - rate) * prediction. Targets are startup-bias corrected by
-    1 / (1 - rate**t), t counting the updates a sample has had. The arrays
-    grow to the largest id seen.
+    Ids run from 0 to ``num_ids - 1``: ``train_epoch`` creates the store on
+    the first epoch with one row per id up to the largest labeled or
+    unlabeled one. ``record`` keeps each sample's latest prediction of the
+    epoch; ``apply_epoch_update`` folds them in as ensemble <- rate * ensemble
+    + (1 - rate) * prediction. Targets are startup-bias corrected by
+    1 / (1 - rate**t), t counting the updates a sample has had.
     """
 
-    def __init__(self, rate: float, num_classes: int):
+    def __init__(self, rate: float, num_classes: int, num_ids: int):
         self.rate = rate
-        self.ensemble = np.zeros((0, num_classes))
-        self.pending = np.zeros((0, num_classes))
-        self.update_counts = np.zeros(0, dtype=int)
-        self.has_pending = np.zeros(0, dtype=bool)
+        self.ensemble = np.zeros((num_ids, num_classes))
+        self.pending = np.zeros((num_ids, num_classes))
+        self.update_counts = np.zeros(num_ids, dtype=int)
+        self.has_pending = np.zeros(num_ids, dtype=bool)
         # 1 - rate**t indexed by t, from Python float powers: np.power can
         # differ from them in the last bit
         self._bias = np.array([0.0])
 
-    def _reserve(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        if rows.shape != (ids.shape[0], self.ensemble.shape[1]):
-            raise ContractError(f"temporal store needs one {self.ensemble.shape[1]}-wide "
-                                f"row per sample id, got {rows.shape} for {ids.shape[0]} ids")
-        extra = int(ids.max(initial=-1)) + 1 - self.update_counts.size
-        if extra > 0:
-            def pad(a):
-                return np.concatenate([a, np.zeros((extra,) + a.shape[1:], a.dtype)])
-            self.ensemble, self.pending = pad(self.ensemble), pad(self.pending)
-            self.update_counts, self.has_pending = pad(self.update_counts), pad(self.has_pending)
-
     def targets(self, ids: np.ndarray, current: np.ndarray) -> np.ndarray:
         """Bias-corrected ensemble rows; ``current`` rows where none exists yet."""
-        self._reserve(ids, current)
         out = current.copy()
         t = self.update_counts[ids]
         seen = t > 0
@@ -225,7 +214,6 @@ class TemporalStore:
 
     def record(self, ids: np.ndarray, predictions: np.ndarray) -> None:
         """Hold the epoch's predictions; a repeated id keeps its last row."""
-        self._reserve(ids, predictions)
         _, last_rev = np.unique(ids[::-1], return_index=True)
         last = ids.shape[0] - 1 - last_rev
         self.pending[ids[last]] = predictions[last]
@@ -252,7 +240,7 @@ class TrainerState:
     adam_v: np.ndarray
     adam_steps: int = 0
     epoch: int = 0
-    temporal: TemporalStore | None = None
+    temporal: TemporalStore | None = None   # created by a te variant's first epoch
     pseudo: tuple[np.ndarray, np.ndarray] | None = None  # (unlabeled rows, hard labels)
 
 
@@ -343,13 +331,11 @@ def init_trainer(cfg: TrainConfig, arch: ArchSpec, labeled: Dataset) -> TrainerS
     target, _ = VARIANT_TABLE[cfg.variant]
     student = models.init_params(arch, substream(cfg.seed, _TAG_INIT))
     teacher = Params(student) if target == "ema" else None
-    temporal = TemporalStore(cfg.te_ensemble_rate, arch.num_classes) if target == "te" else None
     weights = losses.inverse_frequency_weights(labeled.labels, arch.num_classes)
     return TrainerState(
         config=cfg, arch=arch, student=student, teacher=teacher,
         class_weights=weights, multilabel=labeled.multilabel,
         adam_m=np.zeros_like(student.flat), adam_v=np.zeros_like(student.flat),
-        temporal=temporal,
     )
 
 
@@ -581,6 +567,10 @@ def train_epoch(state: TrainerState, splits: Splits,
     ramp_weight = lambda_rampup(epoch, cfg.ramp_epochs)
     lr = learning_rate_for_epoch(cfg, epoch)
     batch_rng = substream(cfg.seed, _TAG_BATCH, epoch)
+    if epoch == 0 and VARIANT_TABLE[cfg.variant][0] == "te":
+        # steps see only the ids of the labeled and unlabeled splits
+        num_ids = max(splits.labeled.ids.max(), splits.unlabeled.ids.max(initial=0)) + 1
+        state.temporal = TemporalStore(cfg.te_ensemble_rate, state.arch.num_classes, num_ids)
 
     pool = splits.labeled
     if cfg.variant == "self_training":
@@ -620,16 +610,14 @@ def train_epoch(state: TrainerState, splits: Splits,
 
 
 def run_variant(cfg: TrainConfig, arch: ArchSpec, splits: Splits,
-                relation_dump_epochs: tuple[int, ...] = (),
-                probe: Callable[[dict], None] | None = None) -> RunResult:
-    """Train one variant to completion and evaluate on the test split."""
+                relation_dump_epochs: tuple[int, ...] = ()) -> RunResult:
+    """Train one variant to completion and evaluate on the test split, keeping
+    batch 0's relation matrices in each of ``relation_dump_epochs``."""
     state = init_trainer(cfg, arch, splits.labeled)
     dumps: dict[int, dict[str, np.ndarray]] = {}
     dump_epochs = set(relation_dump_epochs)
 
     def dump_probe(info: dict) -> None:
-        if probe is not None:
-            probe(info)
         if info["epoch"] in dump_epochs and info["batch"] == 0 \
                 and info["features_student"] is not None:
             r_s = losses.relation_matrix(T.constant(info["features_student"]),

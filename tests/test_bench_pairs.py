@@ -3,7 +3,9 @@
 import importlib.util
 import shutil
 import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -152,3 +154,43 @@ def test_tree_state_names_the_commit_and_tracked_edits(tmp_path):
     plain = tmp_path / "plain"
     plain.mkdir()
     assert bench_pairs.tree_state(plain) == {"head": None, "dirty": None}
+
+
+def test_relcon_run_summary_on_canned_runs():
+    """Runs built as run_once builds them for the relcon_run_p1 workload: a
+    non-zero exit is one failed op, and every metric is lower-is-better
+    with no bound."""
+    better, bounds = bench_pairs.metric_rules(bench_pairs.RUN_WORKLOAD, Path("unused"))
+    assert better == {"wall_s": "lower", "minor_faults": "lower", "peak_rss_mb": "lower"}
+    assert bounds == {}
+    canned = {"parent": [(0, 10.0, 24000, 66560), (0, 11.0, 26000, 67584), (0, 12.0, 25000, 66560)],
+              "change": [(0, 9.0, 900, 68608), (1, 12.5, 800, 68608), (0, 10.0, 1000, 69632)]}
+    runs = [{"side": side, "pair": pair, "seconds": 40, "ru_minflt": faults,
+             "result": bench_pairs.run_result(code, wall_s,
+                                              SimpleNamespace(ru_minflt=faults, ru_maxrss=kib))}
+            for side, values in canned.items()
+            for pair, (code, wall_s, faults, kib) in enumerate(values)]
+    out = bench_pairs.summarise(runs, better, bounds, claim="minor_faults")
+    assert out["pairs_won_by_change"] == {"wall_s": 2, "minor_faults": 3, "peak_rss_mb": 0}
+    assert out["worse_by"] == {}
+    assert out["parent"]["wall_s"] == {"median": 11.0, "q1": 10.5, "q3": 11.5, "unit": "s"}
+    assert out["change"]["peak_rss_mb"] == {"median": 67.0, "q1": 67.0, "q3": 67.5,
+                                            "unit": "MiB"}
+    assert out["change"]["minor_faults"]["median"] == 900
+    assert (out["change"]["failed_ops"], out["change"]["attempted_ops"]) == (1, 3)
+    assert not out["change"]["all_correct"] and out["parent"]["all_correct"]
+    assert out["claim"]["won"] == 3 and out["claim"]["met"]
+
+
+def test_run_child_reports_each_childs_own_peak_rss(tmp_path):
+    """A small child after a large one reports its own peak, not the large
+    one's, as a running maximum over all children would."""
+    def child(mib):
+        return bench_pairs.run_child(
+            [sys.executable, "-c", f"import sys; b = b'x' * ({mib} << 20); print(len(b) >> 20); "
+             "sys.exit(3)"], tmp_path, None)
+
+    code, out, _, wall_s, big = child(96)
+    assert (code, out.strip()) == (3, "96") and wall_s > 0
+    _, _, _, _, small = child(1)
+    assert big.ru_maxrss >= 96 * 1024 > small.ru_maxrss

@@ -24,7 +24,7 @@ from relcon.trainer import CurvePoint
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 IDENTITY = Path(__file__).resolve().parent / "identity"
-RESULTS_HEADER = ["variant", "beta", "labeled_fraction", "seed", *E._METRIC_NAMES]
+RESULTS_HEADER = list(E.RESULTS_COLUMNS)
 ACCEPTED_KEYS = sorted((section, key) for section, keys in E._KEYS.items() for key in keys)
 
 QUICK_CONFIG = """
@@ -216,6 +216,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^\[sweep\] {key} = "):
             E.parse_config_text(QUICK_CONFIG + f"[sweep]\n{line}\n")
 
+    @pytest.mark.parametrize("sweep, cells, name", [
+        ("beta = 0.1234567, 0.1234568\nseeds = 0, 0", 4, "mt_b0.123457_f0.2_s0"),
+        ("beta = 0.1234567, 0.1234568", 2, "mt_b0.123457_f0.2_s0"),
+        ("seeds = 0, 0", 2, "mt_b1_f0.2_s0"),
+    ])
+    def test_cells_sharing_a_run_directory_are_config_error(self, sweep, cells, name):
+        message = f"[sweep] {cells} cells would share the run directory runs/{name}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            E.parse_config_text(QUICK_CONFIG + f"[sweep]\n{sweep}\n")
+
+    def test_sweep_values_with_distinct_run_names_parse(self):
+        cfg = E.parse_config_text(QUICK_CONFIG + "[sweep]\nbeta = 0.5, 1\n")
+        assert [E.ResultRow(*cell, None).run_name for cell in E.sweep_cells(cfg)] == [
+            "mt_b0.5_f0.2_s0", "mt_b1_f0.2_s0"]
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.sampled_from(ACCEPTED_KEYS),
            st.one_of(st.text(), st.floats().map(repr), st.integers().map(str),
@@ -266,6 +281,17 @@ class TestRunExperiment:
         assert lines[0] == ("variant,beta,labeled_fraction,seed,"
                             "auc,sensitivity,specificity,accuracy,f1")
         assert len(lines) == 5
+
+    def test_results_columns_are_declared_once(self, report, tmp_path):
+        failed = dataclasses.replace(report.rows[0], metrics=None, error="SplitError: x")
+        E.emit_reports(dataclasses.replace(report, rows=[failed, *report.rows[1:]]), tmp_path)
+        header = (tmp_path / "results.csv").read_text().splitlines()[0]
+        assert header.split(",") == list(E.RESULTS_COLUMNS)
+        rows = E.load_results_csv(tmp_path / "results.csv")
+        for row in rows:
+            assert {key: type(value) for key, value in row.items()} == E.RESULTS_COLUMNS
+        assert all(np.isnan(rows[0][name]) for name in E.METRIC_NAMES)
+        assert not any(np.isnan(rows[1][name]) for name in E.METRIC_NAMES)
 
     def test_summary_single_seed_group_equals_run(self):
         cfg = E.parse_config_text(QUICK_CONFIG)
@@ -501,7 +527,7 @@ class TestFailureHandling:
         *_, title, header = capsys.readouterr().out.splitlines()
         assert title == "deltas vs baseline:"
         assert header.split() == ["variant", "beta", "labeled_fraction", "runs",
-                                  *(f"d_{m}" for m in E._METRIC_NAMES)]
+                                  *(f"d_{m}" for m in E.METRIC_NAMES)]
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_dataset_built_once_per_experiment(self, tmp_path, monkeypatch, parallel):

@@ -227,7 +227,7 @@ class TestEndToEndGradients:
                                       leafed["dense0.b"]), 0.0)
             h = T.clip_min(T.add_bias(T.matmul(h, leafed["dense1.w"]), leafed["dense1.b"]), 0.0)
             logits = T.add_bias(T.matmul(h, leafed["head.w"]), leafed["head.b"])
-            return losses.weighted_cross_entropy(logits, labels)
+            return losses.weighted_cross_entropy(logits, labels, np.ones(logits.shape[1]))
 
         assert T.finite_difference_check(f, params["dense0.w"]) <= 1e-4
 
@@ -244,7 +244,7 @@ class TestEndToEndGradients:
                 h = T.conv2d(h, leafed[f"conv{i}.w"], leafed[f"conv{i}.b"])
             pooled = T.global_avg_pool(h)
             logits = T.add_bias(T.matmul(pooled, leafed["head.w"]), leafed["head.b"])
-            return losses.weighted_cross_entropy(logits, labels)
+            return losses.weighted_cross_entropy(logits, labels, np.ones(logits.shape[1]))
 
         assert T.finite_difference_check(f, rng.normal(size=(2, 8, 8, 1))) <= 1e-4
 

@@ -35,6 +35,13 @@ def quick_config(**kw):
     return TR.TrainConfig(**defaults)
 
 
+def train_all(cfg, arch, splits, probe):
+    """Every epoch of a fresh trainer, with ``probe`` watching each step."""
+    state = TR.init_trainer(cfg, arch, splits.labeled)
+    for _ in range(cfg.total_epochs):
+        TR.train_epoch(state, splits, probe)
+
+
 def params_digest(params):
     h = hashlib.sha256()
     for name in sorted(params):
@@ -245,12 +252,12 @@ def te_epoch(store, ids, predictions):
 class TestTemporalTargets:
     def test_first_update_bias_corrected(self):
         z = np.random.default_rng(2).dirichlet(np.ones(3), size=4)
-        targets = te_epoch(TR.TemporalStore(0.99, 3), np.arange(4), z)
+        targets = te_epoch(TR.TemporalStore(0.99, 3, 4), np.arange(4), z)
         assert np.abs(targets - z).max() <= 1e-15
 
     def test_rate_zero_tracks_epoch(self):
         rng = np.random.default_rng(3)
-        store = TR.TemporalStore(0.0, 3)
+        store = TR.TemporalStore(0.0, 3, 4)
         for _ in range(5):
             z = rng.dirichlet(np.ones(3), size=4)
             targets = te_epoch(store, np.arange(4), z)
@@ -258,38 +265,35 @@ class TestTemporalTargets:
 
     def test_constant_predictions_fixed_point(self):
         z = np.random.default_rng(4).dirichlet(np.ones(4), size=2)
-        store = TR.TemporalStore(0.99, 4)
+        store = TR.TemporalStore(0.99, 4, 2)
         for _ in range(1, 200):
             targets = te_epoch(store, np.arange(2), z)
             assert np.abs(targets - z).max() <= 1e-9
 
-    def test_misaligned_rejected(self):
-        with pytest.raises(ContractError):
-            TR.TemporalStore(0.99, 3).record(np.arange(2), np.zeros((3, 3)))
-
     def test_unseen_rows_get_current_prediction(self):
         z = np.random.default_rng(5).dirichlet(np.ones(3), size=2)
-        store = TR.TemporalStore(0.99, 3)
+        store = TR.TemporalStore(0.99, 3, 8)
         te_epoch(store, np.array([0, 1]), z)
         current = np.full((2, 3), 0.25)
         targets = store.targets(np.array([1, 7]), current)
         assert np.abs(targets[0] - z[1]).max() <= 1e-15
         assert np.array_equal(targets[1], current[1])
 
-    def test_store_grows_to_larger_ids(self):
+    def test_store_counts_ids_up_to_its_size(self):
         z = np.random.default_rng(6).dirichlet(np.ones(3), size=2)
-        store = TR.TemporalStore(0.5, 3)
+        store = TR.TemporalStore(0.5, 3, 41)
         te_epoch(store, np.array([0, 1]), z)
         te_epoch(store, np.array([40, 1]), z)
         assert store.update_counts[[0, 1, 40]].tolist() == [1, 2, 1]
         assert store.update_counts.sum() == 4
+        assert store.ensemble.shape == (41, 3) and store.update_counts.size == 41
 
     def test_matches_per_sample_reference(self):
         # per-sample dict loop: the latest prediction of an epoch wins, the
         # update folds it in, targets divide by 1 - rate**t
         rng = np.random.default_rng(8)
         rate = 0.9
-        store = TR.TemporalStore(rate, 3)
+        store = TR.TemporalStore(rate, 3, 30)
         ensemble, counts = {}, {}
         for _ in range(6):
             pending = {}
@@ -311,7 +315,7 @@ class TestTemporalTargets:
 
     def test_repeated_id_keeps_last_row(self):
         z = np.random.default_rng(7).dirichlet(np.ones(3), size=3)
-        store = TR.TemporalStore(0.0, 3)
+        store = TR.TemporalStore(0.0, 3, 3)
         targets = te_epoch(store, np.array([2, 2, 2]), z)
         assert np.array_equal(targets, np.stack([z[2]] * 3))
 
@@ -422,8 +426,7 @@ class TestTrainingContracts:
                 worst[0] = max(worst[0],
                                np.abs(info["probs_teacher"].sum(axis=1) - 1).max())
 
-        TR.run_variant(quick_config(variant="src_mt", total_epochs=2), ARCH,
-                       small_splits(), probe=probe)
+        train_all(quick_config(variant="src_mt", total_epochs=2), ARCH, small_splits(), probe)
         assert worst[0] <= 1e-9
 
     def test_no_perturbation_identical_models_zero_consistency(self):
@@ -441,7 +444,7 @@ class TestTrainingContracts:
             bd = info["breakdown"]
             seen.append((bd.consistency, bd.relation))
 
-        TR.run_variant(cfg, arch, small_splits(), probe=probe)
+        train_all(cfg, arch, small_splits(), probe)
         assert seen
         assert all(c == 0.0 and r == 0.0 for c, r in seen)
 
@@ -468,6 +471,18 @@ class TestTrainingContracts:
         res = TR.run_variant(cfg, ARCH, splits)
         assert splits.unlabeled.reads > 0          # pseudo-label passes read inputs
         assert res.state.pseudo is not None or res.test_metrics.accuracy >= 0
+
+    def test_te_store_sized_once_to_the_largest_split_id(self):
+        splits = small_splits()
+        cfg = quick_config(variant="te")
+        state = TR.init_trainer(cfg, ARCH, splits.labeled)
+        TR.train_epoch(state, splits)
+        store = state.temporal
+        TR.train_epoch(state, splits)
+        assert state.temporal is store
+        largest = max(splits.labeled.ids.max(), splits.unlabeled.ids.max())
+        assert store.ensemble.shape == (largest + 1, 3)
+        assert store.update_counts.size == store.has_pending.size == largest + 1
 
     def test_te_variant_runs_and_uses_store(self):
         res = TR.run_variant(quick_config(variant="te", total_epochs=3), ARCH,

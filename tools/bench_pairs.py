@@ -8,8 +8,18 @@ holding committed source trees:
 
 Pair p runs ``python3 perfbench/run.py --workload W --seed p --seconds S
 --trace T`` from the root of each checkout, the parent first on even pairs
-and the change first on odd ones. A run's minor page faults (``ru_minflt``)
-are read from ``getrusage(RUSAGE_CHILDREN)`` around it.
+and the change first on odd ones. Each run's own minor page faults
+(``ru_minflt``) and peak RSS (``ru_maxrss``, KiB) come from ``os.wait4`` on
+its pid, which on Linux also counts the children it reaped, such as a
+sweep's workers.
+
+The workload ``relcon_run_p1`` instead times ``relcon run --parallel 1`` on
+``tools/relcon_run_p1.cfg``, two 16-epoch ``src_mt`` cells of the acceptance
+ordering setup, from each checkout's ``src`` with BLAS threads pinned to 1
+and the run directory in a temporary folder. ``--seconds`` and ``--seed``
+do not apply to it, and ``--trace`` must be 0. Its metrics are the run's
+``wall_s``, ``minor_faults`` and ``peak_rss_mb``, lower being better on each,
+with no bounds; a run that exits non-zero counts as one failed op.
 
 The file keeps one summary per workload: for each side the ops attempted and
 failed, whether every output check passed, and the median and quartiles
@@ -48,9 +58,9 @@ import argparse
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -58,27 +68,77 @@ import numpy as np
 
 SIDES = ("parent", "change")
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+RUN_WORKLOAD = "relcon_run_p1"
+RUN_CONFIG = Path(__file__).resolve().parent / "relcon_run_p1.cfg"
+RUN_METRICS = {"wall_s": "s", "minor_faults": "count", "peak_rss_mb": "MiB"}
+
+
+def run_child(cmd: list[str], cwd: Path, env: dict | None):
+    """Run ``cmd`` from ``cwd`` in ``env`` (None: this process's) to its end.
+    Returns its exit code, stdout and stderr, its wall time, and its own
+    rusage from ``os.wait4``; ``getrusage(RUSAGE_CHILDREN)`` would keep
+    ``ru_maxrss`` as a running maximum over every child this process has reaped."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        started = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - started
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return (proc.returncode, out.read().decode(errors="replace"),
+                err.read().decode(errors="replace"), wall_s, usage)
+
+
+def run_result(code: int, wall_s: float, usage) -> dict:
+    """The result of one ``relcon run`` in perfbench's layout: one op, failed
+    unless it exited 0, and the values of ``RUN_METRICS``."""
+    values = {"wall_s": wall_s, "minor_faults": usage.ru_minflt,
+              "peak_rss_mb": usage.ru_maxrss / 1024}
+    return {"attempted": 1, "failed": int(code != 0), "correct": code == 0,
+            "metrics": {name: {"value": values[name], "unit": unit}
+                        for name, unit in RUN_METRICS.items()}}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One benchmark run from ``root``: its parsed result, exit code, wall
-    time and minor faults."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    started = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    wall_s = time.perf_counter() - started
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
-    lines = proc.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        result = None
-        print(f"{root}: no result line; stderr:\n{proc.stderr}", file=sys.stderr)
+    time, minor faults and peak RSS."""
+    if workload == RUN_WORKLOAD:
+        env = {**os.environ, **dict.fromkeys(THREAD_ENV, "1"),
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                           os.environ.get("PYTHONPATH")]))}
+        with tempfile.TemporaryDirectory() as out:
+            code, _, stderr, wall_s, usage = run_child(
+                [sys.executable, "-m", "relcon.cli", "run", str(RUN_CONFIG), "--out", out,
+                 "--parallel", "1"], root, env)
+        result = run_result(code, wall_s, usage)
+        if code:
+            print(f"{root}: relcon run exited {code}; stderr:\n{stderr}", file=sys.stderr)
+    else:
+        code, stdout, stderr, wall_s, usage = run_child(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)], root, None)
+        lines = stdout.strip().splitlines()
+        try:
+            result = json.loads(lines[-1])
+        except (IndexError, json.JSONDecodeError):
+            result = None
+            print(f"{root}: no result line; stderr:\n{stderr}", file=sys.stderr)
     return {"workload": workload, "pair": seed, "seed": seed, "trace": trace,
-            "seconds": seconds, "exit": proc.returncode, "result": result,
-            "ru_minflt": faults, "wall_s": round(wall_s, 3)}
+            "seconds": seconds, "exit": code, "result": result,
+            "ru_minflt": usage.ru_minflt, "ru_maxrss_kb": usage.ru_maxrss,
+            "wall_s": round(wall_s, 3)}
+
+
+def metric_rules(workload: str, change_root: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Each metric's direction of "better", and the bound of each end-to-end
+    metric: from the change's ``BENCHMARK.json``, or ``RUN_METRICS`` with no
+    bounds for ``RUN_WORKLOAD``."""
+    if workload == RUN_WORKLOAD:
+        return dict.fromkeys(RUN_METRICS, "lower"), {}
+    spec = json.loads((change_root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def tree_state(root: Path) -> dict:
@@ -181,7 +241,8 @@ def environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "thread_env": {name: "1" for name in THREAD_ENV},
-            "thread_env_note": "perfbench/run.py sets these to 1 in the workload process",
+            "thread_env_note": "perfbench/run.py sets these to 1 in the workload process, "
+                               "and this tool in a relcon_run_p1 run's environment",
             "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()}
 
 
@@ -200,12 +261,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.workload == RUN_WORKLOAD and args.trace:
+        parser.error(f"--trace: {RUN_WORKLOAD} is not traced")
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better, bounds = metric_rules(args.workload, args.change)
     if args.claim is not None and args.claim not in better:
-        parser.error(f"--claim: {args.claim!r} is not a metric of BENCHMARK.json")
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+        parser.error(f"--claim: {args.claim!r} is not a metric of {args.workload}")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     for pair in range(args.pairs):
@@ -217,7 +278,7 @@ def main(argv=None) -> int:
             metrics = (run["result"] or {}).get("metrics", {})
             shown = ", ".join(f"{k} {v['value']:.4g}" for k, v in metrics.items()
                               if k in ("samples_per_s", "op_s_p50", "peak_rss_mb",
-                                       "perturb.perturb_pair_s"))
+                                       "perturb.perturb_pair_s", *RUN_METRICS))
             print(f"pair {pair} {side}: exit {run['exit']}, {shown}", flush=True)
     if any(r["result"] is None for r in runs):
         print("a run gave no result; nothing written", file=sys.stderr)
@@ -231,7 +292,7 @@ def main(argv=None) -> int:
     bench["command"] = (
         "python3 tools/bench_pairs.py --parent <parent root> --change <change root> "
         "--workload <workload> --pairs <n> --bench <bench> --seconds <seconds> --trace <0|1>; "
-        "see its docstring for the pairing, ru_minflt and quartiles")
+        "see its docstring for the pairing, the rusage fields, relcon_run_p1 and quartiles")
     bench["environment"] = environment()
     key = "traced_rounds" if args.trace else "summary"
     summary = summarise(runs, better, bounds, args.claim)
