@@ -6,9 +6,10 @@ the line. Sections: ``[dataset]``, ``[split]``, ``[train]``, optional
 ``[perturb]``, optional ``[sweep]`` (lists over variant / beta /
 labeled_fraction / seeds), and optional ``[output]``. Each section's keys,
 their types and their defaults are the fields of its dataclasses (see
-``_SECTIONS``). Parsing is strict: unknown keys and malformed values are
-rejected with their line number. Missing keys fall back to the library
-defaults (EMA decay 0.99, relation weight 1.0, 12+36 batches, dropout 0.2).
+``_SECTIONS``). Parsing is strict: unknown keys, malformed values and a
+second header or assignment of one section or key are rejected with their
+line number. Missing keys fall back to the library defaults (EMA decay
+0.99, relation weight 1.0, 12+36 batches, dropout 0.2).
 
 Running an experiment builds the dataset once, then splits it, trains and
 evaluates on the held-out test split in each cell of the sweep, and writes
@@ -69,8 +70,9 @@ class DatasetSection:
             raise ConfigError("file/csv generator needs a path", key="path")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0", key="seed")
-        if self.generator in ("moons", "blobs", "multiblobs") and not self.noise_sd >= 0:
-            raise ConfigError("noise_sd must be >= 0", key="noise_sd")
+        if self.generator in ("moons", "blobs", "multiblobs") \
+                and not 0 <= self.noise_sd < math.inf:
+            raise ConfigError("noise_sd must be finite and >= 0", key="noise_sd")
         if self.generator in ("blobs", "multiblobs") and self.size < 8:
             raise ConfigError("image generators need size >= 8", key="size")
         if self.generator in ("moons", "multiblobs") and self.n < 2:
@@ -186,6 +188,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Strict parse of the key-value config grammar."""
     values: dict[type, dict] = {cls: {} for cls in _SECTION_OF}
     section = None
+    seen: set[str] = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.partition("#")[0].strip()
         if not line:
@@ -194,7 +197,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             name = line[1:-1].strip()
             if name not in _KEYS:
                 raise ConfigError(f"unknown section [{name}]", line=lineno)
+            if name in seen:
+                raise ConfigError(f"repeated section [{name}]", line=lineno)
             section = name
+            seen.add(name)
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", line=lineno)
@@ -206,6 +212,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if entry is None:
             raise ConfigError(f"unknown key in [{section}]", line=lineno, key=key)
         cls, kind, is_list = entry
+        if key in values[cls]:
+            raise ConfigError(f"repeated key in [{section}]", line=lineno, key=key)
         parse = _parse_list if is_list else _parse_scalar
         values[cls][key] = parse(raw.strip(), kind, lineno, key)
 

@@ -55,8 +55,9 @@ class PerturbConfig:
             raise ContractError("perturbation magnitudes must be finite and >= 0")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ContractError("flip_prob must be in [0, 1]")
-        if not (self.noise_variance >= 0 and self.noise_clip >= 0):
-            raise ContractError("noise variance and clip must be >= 0")
+        # noise_clip = inf means no clip
+        if not (0 <= self.noise_variance < np.inf and self.noise_clip >= 0):
+            raise ContractError("noise variance must be finite and >= 0, and clip >= 0")
 
 
 @dataclass(frozen=True)

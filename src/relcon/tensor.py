@@ -27,9 +27,8 @@ place, while it is still in cache, with the operations and the bits of
 
 When the weight takes a gradient (a student forward), the blocks' patches
 go into one array that the node owns, and the vjp's weight gradient reads
-it. Other forwards write their patches into scratch arrays that belong to
-the calling thread, grow to the largest block seen and are kept for
-reuse; the tape never holds them. The vjp masks its adjoint where the
+it. Other forwards build each block's patches in a fresh array that
+lives until the block's GEMM has run. The vjp masks its adjoint where the
 output is 0, and its two GEMMs run over the whole batch: the weight
 gradient sums over it, and blocks would change the rounding of that sum;
 the input-gradient product takes its weight in another layout, for which
@@ -41,13 +40,18 @@ Every GEMM in relcon runs here. Importing this module sets numpy's bundled
 OpenBLAS (where found) to one thread, whatever the environment asks for, so
 results do not depend on it; forked sweep workers inherit the setting. A
 program that changes the count after it imports relcon is outside this guarantee.
+
+Importing it also fixes glibc's malloc thresholds (mmap from 32 MiB, trim
+past 256 MiB free): the adaptive defaults hand a training step's large
+arrays back to the kernel, and the next step faults them in again. Like
+the BLAS setting it is process-wide and forked workers inherit it; where
+the C library is not glibc, nothing is set.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
-import threading
+import platform
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -72,6 +76,21 @@ def _one_blas_thread() -> None:
 
 
 _one_blas_thread()
+
+
+def _fixed_malloc_thresholds() -> bool:
+    """Set glibc's mmap threshold to 32 MiB, then its trim threshold to
+    256 MiB; True when mallopt took both. A trim threshold alone would stop
+    the mmap threshold adapting and fault in more, not less."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # -3 is M_MMAP_THRESHOLD and -1 M_TRIM_THRESHOLD; mallopt returns 1 on success
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 256 << 20) == 1
+
+
+_MALLOC_FIXED = _fixed_malloc_thresholds()
 
 
 def _as_buffer(values) -> Array:
@@ -410,37 +429,16 @@ def logsumexp_rows(x: Tensor) -> Tensor:
 # the bound is a block of its own.
 CONV_BLOCK_VALUES = 2 ** 18
 
-# Grow-only scratch arrays, one per slot and thread, reused by every conv2d
-# call on that thread. A slot's contents die before the call that filled
-# it returns, so no node and no vjp ever holds a view of one; a thread's
-# slots are freed when the thread ends.
-_scratch = threading.local()
-
-
-def _scratch_view(slot: str, shape: tuple[int, ...]) -> Array:
-    n = math.prod(shape)
-    buf = getattr(_scratch, slot, None)
-    if buf is None or buf.size < n:
-        buf = np.empty(n)
-        setattr(_scratch, slot, buf)
-    return buf[:n].reshape(shape)
-
-
 def _patches(x: Array, out: Array | None = None) -> Array:
     """Zero-padded 3x3 patches of [B, H, W, C] as [B*H*W, 9*C], (ki, kj, c) order.
 
-    The result is written into ``out`` when one is given, else into the
-    ``cols`` scratch slot, whose view is valid until the next call.
+    The result is written into ``out`` when one is given, else into a new array.
     """
     b, h, wd, c = x.shape
-    xp = _scratch_view("pad", (b, h + 2, wd + 2, c))
-    xp[:, 0] = 0.0
-    xp[:, -1] = 0.0
-    xp[:, 1:-1, 0] = 0.0
-    xp[:, 1:-1, -1] = 0.0
+    xp = np.zeros((b, h + 2, wd + 2, c))
     xp[:, 1:-1, 1:-1] = x
     shape = (b, h, wd, 3, 3, c)
-    cols = _scratch_view("cols", shape) if out is None else out.reshape(shape)
+    cols = np.empty(shape) if out is None else out.reshape(shape)
     # xp's 3x3 windows as a strided view, built directly: sliding_window_view
     # takes about 20 us a call, a tenth of a small block's patch copy
     sb, sy, sx, sc = xp.strides

@@ -131,18 +131,18 @@ class TrainConfig:
         # the float range checks are written so that NaN fails them
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError("alpha must be in [0, 1)")
-        if not self.beta >= 0:
-            raise ConfigError("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ConfigError("beta must be finite and >= 0")
         if self.ramp_epochs < 1 or self.total_epochs < 1:
             raise ConfigError("epoch counts must be >= 1")
         if self.ramp_epochs > self.total_epochs:
             raise ConfigError("ramp_epochs must not exceed total_epochs")
         if self.batch_labeled < 1 or self.batch_unlabeled < 0:
             raise ConfigError("batch sizes must be >= 1 labeled / >= 0 unlabeled")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be > 0")
-        if not self.lr_decay_power >= 0:
-            raise ConfigError("lr_decay_power must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
+        if not 0 <= self.lr_decay_power < math.inf:
+            raise ConfigError("lr_decay_power must be finite and >= 0")
         if not 0.0 < self.pseudo_label_threshold < 1.0:
             raise ConfigError("pseudo_label_threshold must be in (0, 1)")
         if not 0.0 <= self.te_ensemble_rate < 1.0:
@@ -151,8 +151,8 @@ class TrainConfig:
             raise ConfigError("feature_tap must be 'post_pool' or 'pre_pool'")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be in [0, 2**64)")
-        if not self.relation_eps >= 0:
-            raise ConfigError("relation_eps must be >= 0")
+        if not 0 <= self.relation_eps < math.inf:
+            raise ConfigError("relation_eps must be finite and >= 0")
 
     @property
     def plan(self) -> BatchPlan:
@@ -377,7 +377,7 @@ def predict_probs(arch: ArchSpec, params: Params, x: np.ndarray, multilabel: boo
     in the conv patch copy and the GEMMs, so the threads overlap. The caller
     takes chunks rather than waiting because each thread keeps its freed
     activations in its own malloc arena: one pool thread fewer holds about
-    10 MB less. Chunk boundaries depend on ``chunk`` alone and the results
+    1.5 MiB less. Chunk boundaries depend on ``chunk`` alone and the results
     are joined in chunk order, so the output does not depend on the thread
     count. A one-chunk call runs on the caller alone.
     """

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the summary of alternating parent/change pairs."""
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -194,3 +195,20 @@ def test_run_child_reports_each_childs_own_peak_rss(tmp_path):
     assert (code, out.strip()) == (3, "96") and wall_s > 0
     _, _, _, _, small = child(1)
     assert big.ru_maxrss >= 96 * 1024 > small.ru_maxrss
+
+
+def test_relcon_runs_of_both_sides_start_in_one_directory(monkeypatch, tmp_path):
+    """Each side's relcon run imports its own checkout's src, from a working
+    directory both sides share."""
+    calls = []
+
+    def fake_run_child(cmd, cwd, env):
+        calls.append((cwd, env["PYTHONPATH"].split(os.pathsep)[0]))
+        return 0, "", "", 1.0, SimpleNamespace(ru_minflt=1, ru_maxrss=1024)
+
+    monkeypatch.setattr(bench_pairs, "run_child", fake_run_child)
+    roots = [tmp_path / "parent", tmp_path / "a" / "deeper" / "change"]
+    for root in roots:
+        bench_pairs.run_once(root, bench_pairs.RUN_WORKLOAD, 0, 40, 0)
+    assert [src for _, src in calls] == [str(root / "src") for root in roots]
+    assert calls[0][0] == calls[1][0]

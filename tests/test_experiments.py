@@ -91,11 +91,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="section"):
             E.parse_config_text("[universe]\nanswer = 42\n")
 
+    @pytest.mark.parametrize("text, line, key, match", [
+        ("[train]\nbeta = 1\nbeta = 2\n", 3, "beta", r"repeated key in \[train\]"),
+        # conv_channels is a ModelSection key that [train] holds
+        ("[train]\nconv_channels = 4\nalpha = 0.9\nconv_channels = 8\n", 4, "conv_channels",
+         r"repeated key in \[train\]"),
+        ("[train]\nbeta = 1\n[split]\nseed = 2\n[train]\nalpha = 0.9\n", 5, None,
+         r"repeated section \[train\]"),
+    ])
+    def test_repeat_is_config_error_naming_line(self, text, line, key, match):
+        """A second assignment of a key, or a second header of a section,
+        is rejected at its line rather than overriding or merging."""
+        with pytest.raises(ConfigError, match=match) as info:
+            E.parse_config_text(text)
+        assert (info.value.line, info.value.key) == (line, key)
+
     def test_perturb_section(self):
         cfg = E.parse_config_text(
-            "[perturb]\nnoise_enabled = true\nnoise_variance = 0.04\nflip_prob = 0.25\n")
+            "[perturb]\nnoise_enabled = true\nnoise_variance = 0.04\nflip_prob = 0.25\n"
+            "noise_clip = inf\n")
         assert cfg.train.perturb.noise_enabled
         assert cfg.train.perturb.noise_variance == 0.04
+        assert cfg.train.perturb.noise_clip == float("inf")   # no clip
         assert cfg.train.perturb.flip_prob == 0.25
 
     def test_trailing_comments_stripped(self):
@@ -134,6 +151,14 @@ class TestConfigParsing:
         ("train", "relation_eps = -1"),
         ("train", "lr_decay_power = nan"),
         ("train", "lr_decay_power = -1"),
+        ("train", "beta = inf"),
+        ("train", "learning_rate = inf"),
+        ("train", "lr_decay_power = inf"),
+        ("train", "relation_eps = inf"),
+        ("sweep", "beta = 1, inf"),
+        ("dataset", "generator = moons\nnoise_sd = inf"),
+        ("dataset", "generator = blobs\nnoise_sd = inf"),
+        ("perturb", "noise_variance = inf"),
         ("dataset", "size = 3"),
         ("dataset", "generator = moons\nnoise_sd = nan"),
         ("dataset", "generator = blobs\nnoise_sd = -1"),

@@ -1,9 +1,11 @@
 """Tape engine: op semantics, backward rules, finite-difference validation."""
 
 import os
+import platform
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,9 +356,10 @@ def _closure(fn, name):
     return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))[name]
 
 
-class TestConvScratch:
-    def test_tape_holds_no_scratch_view(self):
-        """conv2d reuses its patch scratch, so no live graph may read it later."""
+class TestConvPatches:
+    def test_interleaved_graphs_keep_their_gradients(self):
+        """Two live graphs, with a larger conv2d call between them, get the
+        gradients that each gets when built and run alone."""
         rng = np.random.default_rng(0)
         w0, w1 = rng.normal(size=(4, 2, 3, 3)), rng.normal(size=(3, 4, 3, 3))
         b0, b1 = rng.normal(size=4), rng.normal(size=3)
@@ -369,7 +372,7 @@ class TestConvScratch:
 
         alone = [T.backward(graph(x)) for x in (xa, xb)]
         first = graph(xa)
-        # an eval pass at a larger batch grows and overwrites every scratch slot
+        # an eval pass at a larger batch between the two graphs
         T.conv2d(T.constant(rng.normal(size=(9, 5, 6, 2))), T.constant(w0), T.constant(b0))
         second = graph(xb)
         for root, want in zip((first, second), alone):
@@ -379,27 +382,21 @@ class TestConvScratch:
 
     def test_weight_gradient_patches_are_node_owned(self, monkeypatch):
         """A forward whose weight takes a gradient keeps its patches in an
-        array of its own, across blocks and out of every thread's scratch;
-        a forward with a constant weight keeps none."""
+        array of its own, across blocks and on any thread; a forward with a
+        constant weight keeps none."""
         monkeypatch.setattr(T, "CONV_BLOCK_VALUES", 5 * 6 * 9 * 2 * 3)   # 3 images a block
         rng = np.random.default_rng(4)
         x, w, bias = rng.normal(size=(7, 5, 6, 2)), rng.normal(size=(3, 2, 3, 3)), np.zeros(3)
-        scratch = []
 
-        def conv_in_thread():
-            node = T.conv2d(T.constant(x), T.parameter(w, name="w"), T.constant(bias))
-            scratch.extend(vars(T._scratch).values())
-            return node
+        def conv():
+            return T.conv2d(T.constant(x), T.parameter(w, name="w"), T.constant(bias))
 
         with ThreadPoolExecutor(max_workers=1) as pool:
-            node = pool.submit(conv_in_thread).result()
-        student = T.conv2d(T.constant(x), T.parameter(w, name="w"), T.constant(bias))
-        scratch.extend(vars(T._scratch).values())
-        want = T._patches(x).copy()
-        for n in (node, student):
+            node = pool.submit(conv).result()
+        want = T._patches(x)
+        for n in (node, conv()):
             kept = _closure(n._vjp, "kept")
             assert kept.flags.owndata and kept.flags.c_contiguous
-            assert not any(np.shares_memory(kept, buf) for buf in scratch)
             assert np.array_equal(kept, want)
         target = T.conv2d(T.constant(x), T.constant(w), T.parameter(bias, name="b"))
         assert _closure(target._vjp, "kept") is None
@@ -431,7 +428,7 @@ class TestConvBlocks:
         monkeypatch.setattr(T, "CONV_BLOCK_VALUES", 2 ** 62)
         assert all(map(_same_bits, blocked, _conv_outputs(x, w, bias, g)))
 
-    def test_threads_keep_their_own_scratch(self):
+    def test_threads_get_the_bits_of_a_sequential_run(self):
         """Threads running conv2d forward and backward at once, on different
         inputs, get the bits of a sequential run."""
         rng = np.random.default_rng(1)
@@ -698,3 +695,35 @@ def test_import_pins_blas_to_one_thread():
         pytest.skip("numpy bundles no scipy-openblas with a thread-count getter")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2", "1"]
+
+
+# trains 4 epochs of the config in argv[1]; prints each epoch's minor page faults
+_EPOCH_FAULTS = """
+import resource, sys
+from pathlib import Path
+from relcon import data as D, experiments as E, trainer as TR
+cfg = E.parse_config_text(Path(sys.argv[1]).read_text(encoding="utf-8"))
+dataset = E.build_dataset(cfg.dataset)
+splits = D.split_labeled(dataset, cfg.split)
+state = TR.init_trainer(cfg.train, E.arch_for(dataset, cfg.model), splits.labeled)
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    TR.train_epoch(state, splits)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc setting is glibc's")
+def test_epochs_after_the_first_fault_in_few_pages():
+    """Importing the tape fixes glibc's malloc thresholds, so the arrays a
+    training step frees stay in the heap for the next step: on the conv net
+    of tools/relcon_run_p1.cfg, each epoch after the first takes fewer than
+    1000 minor page faults (about 24k under glibc's adaptive thresholds)."""
+    assert T._MALLOC_FIXED
+    cfg = Path(__file__).resolve().parents[1] / "tools" / "relcon_run_p1.cfg"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _EPOCH_FAULTS, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(v) for v in proc.stdout.split()]
+    assert len(faults) == 4 and max(faults[1:]) < 1000, faults

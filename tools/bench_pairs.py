@@ -16,7 +16,9 @@ sweep's workers.
 The workload ``relcon_run_p1`` instead times ``relcon run --parallel 1`` on
 ``tools/relcon_run_p1.cfg``, two 16-epoch ``src_mt`` cells of the acceptance
 ordering setup, from each checkout's ``src`` with BLAS threads pinned to 1
-and the run directory in a temporary folder. ``--seconds`` and ``--seed``
+and the run directory in a temporary folder. Both sides run it from one
+working directory, the folder of that config: the directory a run starts
+from moves its fault count by thousands. ``--seconds`` and ``--seed``
 do not apply to it, and ``--trace`` must be 0. Its metrics are the run's
 ``wall_s``, ``minor_faults`` and ``peak_rss_mb``, lower being better on each,
 with no bounds; a run that exits non-zero counts as one failed op.
@@ -110,7 +112,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: int, trace: int) -> 
         with tempfile.TemporaryDirectory() as out:
             code, _, stderr, wall_s, usage = run_child(
                 [sys.executable, "-m", "relcon.cli", "run", str(RUN_CONFIG), "--out", out,
-                 "--parallel", "1"], root, env)
+                 "--parallel", "1"], RUN_CONFIG.parent, env)
         result = run_result(code, wall_s, usage)
         if code:
             print(f"{root}: relcon run exited {code}; stderr:\n{stderr}", file=sys.stderr)
